@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/hash.h"
+
 namespace mcr::fault {
 
 const char* to_string(Site site) {
@@ -136,20 +138,13 @@ std::atomic<Injector*> g_injector{nullptr};
 
 thread_local int g_suppress_depth = 0;
 
-/// splitmix64: the per-decision uniform draw. Pure in its input, so the
-/// k-th decision at a site depends only on (seed, site, k).
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
+/// The per-decision uniform draw. splitmix64 is pure in its input, so
+/// the k-th decision at a site depends only on (seed, site, k).
 double uniform01(std::uint64_t seed, Site site, std::uint64_t seq) {
   const std::uint64_t h = splitmix64(
       splitmix64(seed ^ (0xa076'1d64'78bd'642fULL * (static_cast<std::uint64_t>(site) + 1))) ^
       seq);
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return unit_double(h);
 }
 
 }  // namespace

@@ -10,25 +10,11 @@
 #include <sstream>
 #include <utility>
 
+#include "support/hash.h"
+
 namespace mcr::obs {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e37'79b9'7f4a'7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf2'9ce4'8422'2325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x0000'0100'0000'01b3ULL;
-  }
-  return h;
-}
 
 std::string fmt_us(double us) {
   std::ostringstream os;
@@ -124,8 +110,7 @@ bool FlightRecorder::would_sample(std::string_view trace_id) const {
   if (options_.sample_rate >= 1.0) return true;
   if (options_.sample_rate <= 0.0) return false;
   const std::uint64_t h = splitmix64(fnv1a(trace_id) ^ options_.sample_salt);
-  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return u < options_.sample_rate;
+  return unit_double(h) < options_.sample_rate;
 }
 
 std::shared_ptr<RequestTrace> FlightRecorder::begin(std::string trace_id,

@@ -2,20 +2,9 @@
 
 #include <cstring>
 
+#include "support/hash.h"
+
 namespace mcr::store {
-namespace {
-
-/// splitmix64 finalizer — the same avalanche the content fingerprint
-/// uses, kept separate so pack integrity and graph identity can evolve
-/// independently.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::uint64_t pack_checksum(const unsigned char* data, std::size_t size,
                             std::size_t checksum_field_offset) {
@@ -36,9 +25,9 @@ std::uint64_t pack_checksum(const unsigned char* data, std::size_t size,
     }
     std::uint64_t word = 0;
     std::memcpy(&word, chunk, 8);
-    h = mix64(h ^ word);
+    h = splitmix64(h ^ word);
   }
-  return mix64(h ^ static_cast<std::uint64_t>(size));
+  return splitmix64(h ^ static_cast<std::uint64_t>(size));
 }
 
 const char* pack_error_kind_name(PackErrorKind kind) {

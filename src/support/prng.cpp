@@ -2,17 +2,11 @@
 
 #include <cassert>
 
+#include "support/hash.h"
+
 namespace mcr {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
@@ -20,7 +14,7 @@ std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); 
 
 Prng::Prng(std::uint64_t seed) {
   std::uint64_t x = seed;
-  for (auto& s : s_) s = splitmix64(x);
+  for (auto& s : s_) s = splitmix64_next(x);
   // All-zero state is the one forbidden state; splitmix64 cannot produce
   // four zero outputs from any seed, but guard anyway.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;

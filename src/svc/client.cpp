@@ -14,6 +14,8 @@
 #include <thread>
 #include <utility>
 
+#include "support/hash.h"
+
 namespace mcr::svc {
 
 namespace {
@@ -70,18 +72,10 @@ int open_tcp(const std::string& host, int port) {
   throw_errno("connect(" + host + ":" + std::to_string(port) + ")");
 }
 
-/// splitmix64 step — enough PRNG for backoff jitter, with no global
-/// state so two clients never perturb each other's schedules.
-std::uint64_t next_u64(std::uint64_t& s) {
-  s += 0x9e37'79b9'7f4a'7c15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d0'49bb'1331'11ebULL;
-  return z ^ (z >> 31);
-}
-
+/// Backoff jitter from a per-client splitmix64 sequence: no global
+/// state, so two clients never perturb each other's schedules.
 double uniform(std::uint64_t& s, double lo, double hi) {
-  const double u = static_cast<double>(next_u64(s) >> 11) * 0x1.0p-53;
+  const double u = unit_double(splitmix64_next(s));
   return lo + u * (hi - lo);
 }
 
@@ -180,7 +174,7 @@ void Client::set_retry_policy(const RetryPolicy& policy) {
 }
 
 void Client::send_bytes(std::string_view bytes) {
-  if (!write_all(fd_, bytes)) throw_errno("Client: write failed");
+  if (!write_full(fd_, bytes)) throw_errno("Client: write failed");
 }
 
 std::string Client::read_payload(std::size_t max_frame_bytes) {

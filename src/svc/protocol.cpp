@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "fault/fault.h"
+#include "support/hash.h"
 
 namespace mcr::svc {
 
@@ -132,14 +133,8 @@ std::string generate_trace_id() {
   }();
   static std::atomic<std::uint64_t> counter{0};
   const std::uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
-  const auto mix = [](std::uint64_t x) {
-    x += 0x9e37'79b9'7f4a'7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
-    return x ^ (x >> 31);
-  };
-  const std::uint64_t hi = mix(seed ^ n);
-  const std::uint64_t lo = mix(hi ^ ~n);
+  const std::uint64_t hi = splitmix64(seed ^ n);
+  const std::uint64_t lo = splitmix64(hi ^ ~n);
   std::string id(32, '0');
   static constexpr char kHex[] = "0123456789abcdef";
   for (int i = 0; i < 16; ++i) {
@@ -159,17 +154,17 @@ bool is_valid_trace_id(std::string_view id) {
   return true;
 }
 
-std::string with_trace_id(std::string_view json_object,
-                          std::string_view trace_id) {
+std::string splice_field_front(std::string_view json_object, std::string_view key,
+                               std::string_view value) {
   const auto brace = json_object.find('{');
-  if (brace == std::string_view::npos || trace_id.empty()) {
-    return std::string(json_object);
-  }
+  if (brace == std::string_view::npos || value.empty()) return std::string(json_object);
   std::string out;
-  out.reserve(json_object.size() + trace_id.size() + 16);
+  out.reserve(json_object.size() + key.size() + value.size() + 8);
   out.append(json_object.substr(0, brace + 1));
-  out += "\"trace_id\":\"";
-  out += json_escape(trace_id);
+  out += '"';
+  out.append(key);
+  out += "\":\"";
+  out += json_escape(value);
   out += '"';
   // Keep `{}` well-formed: only add the comma when fields follow.
   const auto rest = json_object.substr(brace + 1);
@@ -179,6 +174,10 @@ std::string with_trace_id(std::string_view json_object,
   }
   out.append(rest);
   return out;
+}
+
+std::string with_trace_id(std::string_view json_object, std::string_view trace_id) {
+  return splice_field_front(json_object, "trace_id", trace_id);
 }
 
 std::string error_payload(std::string_view code, std::string_view message) {

@@ -20,6 +20,7 @@
 #ifndef MCR_SVC_PROTOCOL_H
 #define MCR_SVC_PROTOCOL_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -32,6 +33,11 @@ inline constexpr std::size_t kHeaderBytes = 8;
 /// Default cap on one frame's payload; LOAD of an inline DIMACS graph
 /// is the only verb that approaches it.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 16u * 1024 * 1024;
+
+/// Every verb the protocol defines. Metrics label requests only with
+/// these (anything else is counted as "INVALID").
+inline constexpr std::array<std::string_view, 8> kVerbs = {
+    "PING", "LOAD", "SOLVE", "SOLVERS", "STATS", "HEALTH", "TRACE", "RELOAD"};
 
 /// Error codes the server puts in `"code"`. Stable protocol strings.
 inline constexpr const char* kErrBadRequest = "BAD_REQUEST";
@@ -82,11 +88,6 @@ enum class ReadStatus {
 [[nodiscard]] ReadStatus read_frame(int fd, std::size_t max_frame_bytes,
                                     std::string& payload);
 
-/// Alias of write_full, kept for existing callers.
-[[nodiscard]] inline bool write_all(int fd, std::string_view bytes) {
-  return write_full(fd, bytes);
-}
-
 /// Escapes a string for embedding inside a JSON string literal
 /// (backslash, quote, and control characters; no surrounding quotes).
 [[nodiscard]] std::string json_escape(std::string_view s);
@@ -115,10 +116,14 @@ inline constexpr std::size_t kMaxTraceIdBytes = 64;
 /// echoing attacker-shaped bytes into logs and exports).
 [[nodiscard]] bool is_valid_trace_id(std::string_view id);
 
-/// Splices `"trace_id":"<id>",` immediately after the opening '{' of a
+/// Splices `"<key>":"<value>",` immediately after the opening '{' of a
 /// serialized JSON object, keeping the object's existing field order —
 /// and crucially its *last* field — intact. Returns the payload
-/// unchanged when it is not an object or the id is empty.
+/// unchanged when it is not an object or the value is empty.
+[[nodiscard]] std::string splice_field_front(std::string_view json_object,
+                                             std::string_view key, std::string_view value);
+
+/// splice_field_front(json_object, "trace_id", trace_id).
 [[nodiscard]] std::string with_trace_id(std::string_view json_object,
                                         std::string_view trace_id);
 

@@ -1,26 +1,15 @@
 #include "svc/request_log.h"
 
-#include <sstream>
-
+#include "svc/listener.h"
 #include "svc/protocol.h"
 
 namespace mcr::svc {
-
-namespace {
-
-std::string fmt_ms(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
 
 RequestLog::RequestLog(const std::string& path)
     : out_(path, std::ios::out | std::ios::app) {}
 
 std::string RequestLog::format(const Entry& entry) {
-  std::string out = "{\"ts_ms\":" + fmt_ms(entry.ts_ms);
+  std::string out = "{\"ts_ms\":" + fmt_json_double(entry.ts_ms);
   const auto str_field = [&](const char* key, const std::string& value) {
     if (value.empty()) return;
     out += ",\"";
@@ -34,7 +23,7 @@ std::string RequestLog::format(const Entry& entry) {
     out += ",\"";
     out += key;
     out += "\":";
-    out += fmt_ms(value);
+    out += fmt_json_double(value);
   };
   str_field("trace_id", entry.trace_id);
   str_field("verb", entry.verb);

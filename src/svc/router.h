@@ -56,6 +56,7 @@
 
 #include "obs/metrics.h"
 #include "svc/client.h"
+#include "svc/listener.h"
 #include "svc/protocol.h"
 
 namespace mcr::json {
@@ -137,11 +138,9 @@ class CircuitBreaker {
   std::uint64_t jitter_state_ = 0;
 };
 
-struct RouterOptions {
-  /// Listeners, same semantics as ServerOptions.
-  std::string unix_socket_path;
-  int tcp_port = -1;
-  std::string tcp_bind_host = "127.0.0.1";
+/// Listener fields come from ListenerOptions; max_frame_bytes also caps
+/// upstream response frames.
+struct RouterOptions : ListenerOptions {
   /// The static fleet. At least one required.
   std::vector<BackendAddress> workers;
   /// Replication factor: each routing key maps to min(replicas,
@@ -157,7 +156,6 @@ struct RouterOptions {
   double probe_interval_ms = 500.0;
   /// Idle upstream connections kept per backend.
   std::size_t pool_capacity = 8;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   CircuitBreaker::Options breaker{};
   /// Windowed per-backend latency view shape.
   double stats_window_s = 60.0;
@@ -173,14 +171,15 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Binds listeners, starts the accept loop and (when enabled) the
-  /// prober. Throws std::runtime_error on bind failure / no workers.
+  /// prober. Throws std::runtime_error on bind failure / no workers,
+  /// leaving nothing bound; the router may then be started again.
   void start();
   /// Stop accepting, finish in-flight client requests, join threads.
   /// Idempotent.
   void stop_and_drain();
   [[nodiscard]] bool running() const { return running_.load(); }
   /// Actual TCP port after start() (with tcp_port = 0).
-  [[nodiscard]] int tcp_port() const { return bound_tcp_port_; }
+  [[nodiscard]] int tcp_port() const { return listener_.tcp_port(); }
 
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
 
@@ -221,12 +220,6 @@ class Router {
     obs::SlidingWindowHistogram* latency_window = nullptr;
   };
 
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   /// Outcome of one upstream round trip.
   struct Forward {
     enum class Status {
@@ -238,22 +231,15 @@ class Router {
     std::string response;
   };
 
-  void accept_loop();
-  void reap_finished_connections();
-  void connection_main(Connection* conn);
   [[nodiscard]] std::string handle_request(const std::string& payload);
   [[nodiscard]] std::string forward_with_failover(
-      const json::Value& request, const std::string& verb,
-      const std::string& payload, const std::string& trace_id,
+      const json::Value& request, const std::string& verb, const std::string& payload,
       std::chrono::steady_clock::time_point arrival);
   [[nodiscard]] std::string handle_load(const json::Value& request,
-                                        const std::string& payload,
-                                        const std::string& trace_id);
-  [[nodiscard]] std::string handle_reload_fanout(const std::string& payload,
-                                                 const std::string& trace_id);
-  [[nodiscard]] std::string handle_stats(const json::Value& request,
-                                         const std::string& trace_id);
-  [[nodiscard]] std::string handle_health(const std::string& trace_id);
+                                        const std::string& payload);
+  [[nodiscard]] std::string handle_reload_fanout(const std::string& payload);
+  [[nodiscard]] std::string handle_stats(const json::Value& request);
+  [[nodiscard]] std::string handle_health();
 
   /// One attempt against a backend. A pooled connection that fails
   /// before any response byte is assumed stale and the request is
@@ -285,29 +271,22 @@ class Router {
 
   RouterOptions options_;
   obs::MetricsRegistry metrics_;
+  RequestMeter meter_;
   std::vector<std::unique_ptr<Backend>> backends_;
   /// Hash ring: (point, backend index), sorted by point.
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 
   std::atomic<bool> running_{false};
-  std::chrono::steady_clock::time_point started_at_{};
   std::atomic<std::uint64_t> round_robin_{0};  // keyless verbs
   std::atomic<std::uint64_t> replica_spread_{0};  // generator SOLVE spread
-
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int bound_tcp_port_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  std::thread accept_thread_;
-
-  std::mutex conns_mutex_;
-  std::vector<std::unique_ptr<Connection>> conns_;
 
   std::thread prober_thread_;
   std::mutex prober_mutex_;
   std::condition_variable prober_cv_;
   bool stopping_prober_ = false;
   std::uint64_t prober_jitter_state_ = 0x726f'7574'6572'5f70ULL;
+
+  FrameListener listener_;
 };
 
 }  // namespace mcr::svc

@@ -2,8 +2,8 @@
 //
 // Architecture (docs/SERVICE.md has the full protocol reference):
 //
-//   accept thread ──▶ one thread per connection ──▶ bounded job queue
-//                      (parse frame, cache/single-     (capacity K,
+//   FrameListener ──▶ one thread per connection ──▶ bounded job queue
+//   (svc/listener.h)   (handle_request: cache/single-  (capacity K,
 //                       flight admission)               BUSY beyond)
 //                                                          │
 //   deadline watchdog ◀── arms cancel tokens        dispatcher thread
@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,6 +48,7 @@
 #include "store/dataset_watcher.h"
 #include "svc/cache.h"
 #include "svc/graph_registry.h"
+#include "svc/listener.h"
 #include "svc/protocol.h"
 #include "svc/request_log.h"
 
@@ -58,17 +58,9 @@ class Value;
 
 namespace mcr::svc {
 
-struct ServerOptions {
-  /// Unix-domain listener path; empty disables. A stale socket file
-  /// (path exists but nothing accepts) is replaced; a live one fails.
-  std::string unix_socket_path;
-  /// TCP listener: port number, 0 = ephemeral, -1 = disabled.
-  int tcp_port = -1;
-  /// Bind address for the TCP listener. Loopback by default; set
-  /// "0.0.0.0" (or a specific interface address) so a worker can sit
-  /// behind an mcr_router on another host. Numeric IPv4, or a name
-  /// resolved via getaddrinfo.
-  std::string tcp_bind_host = "127.0.0.1";
+/// Listener fields (socket path, TCP port/host, frame cap, idle
+/// timeout) come from ListenerOptions.
+struct ServerOptions : ListenerOptions {
   /// SolveOptions::num_threads for dispatched solves (0 = hardware).
   int solve_threads = 0;
   /// SolveOptions::tile_arcs for dispatched solves: arc-tile granularity
@@ -84,14 +76,6 @@ struct ServerOptions {
   std::size_t cache_entries = 1024;
   /// GraphRegistry entries (LRU).
   std::size_t graph_entries = 64;
-  /// Per-frame payload cap; larger frames are rejected and the
-  /// connection closed.
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Idle-connection reaper: connections with no completed request for
-  /// this long are shut down (their blocked read returns EOF and the
-  /// handler thread exits). 0 disables. Counted in
-  /// mcr_idle_reaped_total.
-  std::int64_t idle_timeout_ms = 0;
   /// Optional trace sink: per-request kRequest spans plus the usual
   /// driver/solver spans from dispatched solves.
   obs::TraceSink* trace = nullptr;
@@ -133,9 +117,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the configured listeners and spawns the service threads.
-  /// Throws std::runtime_error when no listener is configured or a
-  /// bind/listen fails.
+  /// Attaches the dataset, opens the stats output, binds the configured
+  /// listeners and spawns the service threads. Throws when any step
+  /// fails, leaving no bound socket file or listener fd behind; the
+  /// server may then be started again.
   void start();
 
   /// Graceful shutdown: stop accepting, complete every in-flight
@@ -146,7 +131,7 @@ class Server {
   [[nodiscard]] bool running() const { return running_.load(); }
 
   /// Actual TCP port after start() (useful with tcp_port = 0).
-  [[nodiscard]] int tcp_port() const { return bound_tcp_port_; }
+  [[nodiscard]] int tcp_port() const { return listener_.tcp_port(); }
 
   /// Loads a DIMACS file into the registry (the --preload path in
   /// mcr_serve); returns the fingerprint. Call before or after start().
@@ -226,19 +211,6 @@ class Server {
     std::string error_code;
     std::string error_message;
   };
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-    /// Steady-clock ms of the last frame activity (idle reaper input).
-    std::atomic<std::int64_t> last_activity_ms{0};
-    /// Set once by the reaper so a connection is shut down and counted
-    /// at most once.
-    std::atomic<bool> idle_reaped{false};
-  };
-
-  void accept_loop();
-  void connection_main(Connection* conn);
   void dispatch_loop();
   void watchdog_loop();
   void stats_loop();
@@ -255,19 +227,8 @@ class Server {
   [[nodiscard]] std::string handle_reload(const json::Value& req,
                                           RequestContext& ctx);
 
-  /// `{"window_seconds":..,"verbs":{"(all)":{..},"SOLVE":{..}}}` —
-  /// windowed per-verb count/rps/percentiles, shared by STATS
-  /// {"window":true} and the stats pump.
-  [[nodiscard]] std::string window_json() const;
-  [[nodiscard]] double uptime_seconds() const;
-  /// The windowed companion of the mcr_request_seconds family
-  /// (aggregate when `verb` is empty).
-  obs::SlidingWindowHistogram& windowed_request_seconds(
-      const std::string& verb);
-
   /// Tail of handle_request: finishes the flight-recorder trace, writes
-  /// the access-log line, and records the request latency (aggregate +
-  /// per-verb histograms, exemplared with the trace id).
+  /// the access-log line, and meters the request latency.
   void finish_request(RequestContext& ctx, double total_ms);
 
   /// Parses the request's graph source ("fingerprint" | "dimacs" |
@@ -283,8 +244,6 @@ class Server {
                       const std::string& message);
   void fulfill(SolveJob& job);
   void arm_deadline(const std::shared_ptr<SolveJob>& job);
-  void reap_finished_connections();
-  void reap_idle_connections();
 
   ServerOptions options_;
   obs::MetricsRegistry metrics_;
@@ -293,6 +252,7 @@ class Server {
   ResultCache cache_;
   obs::FlightRecorder flight_;
   std::unique_ptr<RequestLog> request_log_;
+  RequestMeter meter_;
 
   std::atomic<bool> running_{false};
   /// Set (and never cleared) once stop_and_drain begins, *before*
@@ -302,16 +262,10 @@ class Server {
   /// dataset that nothing will ever serve (see test_svc
   /// ReloadDuringDrainIsRefused).
   std::atomic<bool> draining_{false};
-  std::chrono::steady_clock::time_point started_at_{};
   /// Steady-clock ns of the most recent solve completion (ok or error);
   /// -1 until the first one. HEALTH reports its age.
   std::atomic<std::int64_t> last_solve_steady_ns_{-1};
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int bound_tcp_port_ = -1;
-  int wake_pipe_[2] = {-1, -1};
 
-  std::thread accept_thread_;
   std::thread dispatch_thread_;
   std::thread watchdog_thread_;
   std::thread stats_thread_;
@@ -323,9 +277,6 @@ class Server {
   /// Counter baseline for the pump's per-line deltas; touched only by
   /// telemetry_snapshot_json (pump thread, or a test driving it).
   std::map<std::string, std::uint64_t> stats_prev_counters_;
-
-  std::mutex conns_mutex_;
-  std::list<Connection> conns_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
@@ -341,6 +292,10 @@ class Server {
                         std::weak_ptr<std::atomic<bool>>>>
       deadlines_;
   bool stopping_watchdog_ = false;
+
+  /// Declared last: destroyed first, so its drain joins every
+  /// connection thread while the state above is still alive.
+  FrameListener listener_;
 };
 
 }  // namespace mcr::svc

@@ -3,9 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace mcr::cli {
 namespace {
+
+// The flags every case below may use; parse() rejects any other.
+const std::vector<std::string_view> kFlags = {"n",        "m",      "verify", "algo",
+                                               "missing",  "neg",    "worker", "replicas"};
+
+Options parse(const std::vector<std::string>& args) { return cli::parse(args, kFlags); }
 
 TEST(Cli, PositionalOnly) {
   const Options o = parse({"file.dimacs", "other"});
@@ -62,13 +71,31 @@ TEST(Cli, GetIntRejectsGarbage) {
 }
 
 TEST(Cli, MalformedOptionsThrow) {
-  EXPECT_THROW(parse({"--"}), std::invalid_argument);
-  EXPECT_THROW(parse({"---x"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--"}), UsageError);
+  EXPECT_THROW(parse({"---x"}), UsageError);
+}
+
+TEST(Cli, UndeclaredFlagsAreUsageErrors) {
+  // Both spellings, and a flag whose value would otherwise be consumed:
+  // "--output X" must not silently fall through to the defaults.
+  EXPECT_THROW(parse({"--output", "x.json"}), UsageError);
+  EXPECT_THROW(parse({"--output=x.json"}), UsageError);
+  EXPECT_THROW(parse({"--help"}), UsageError);
+  EXPECT_THROW(parse({"--n", "1", "--nn", "2"}), UsageError);
+  try {
+    (void)parse({"input.dimacs", "--bogus"});
+    FAIL() << "expected a UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("--bogus"), std::string::npos) << e.what();
+  }
+  // An empty declaration admits positionals only.
+  EXPECT_EQ(cli::parse({"a", "b"}, {}).positional.size(), 2u);
+  EXPECT_THROW((void)cli::parse({"--n", "1"}, {}), UsageError);
 }
 
 TEST(Cli, ArgcArgvOverloadSkipsProgramName) {
   const char* argv[] = {"prog", "--n", "5", "pos"};
-  const Options o = parse(4, argv);
+  const Options o = cli::parse(4, argv, kFlags);
   EXPECT_EQ(o.get_int("n", 0), 5);
   ASSERT_EQ(o.positional.size(), 1u);
 }

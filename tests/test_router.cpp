@@ -565,40 +565,6 @@ TEST(RouterFleet, StalePooledConnectionsDoNotFeedTheBreaker) {
   }
 }
 
-TEST(RouterStart, PartialStartFailureLeavesNoListenerResidue) {
-  // Occupy a TCP port so the second router's TCP bind fails after its
-  // unix listener has already bound.
-  svc::RouterOptions holder_opts;
-  holder_opts.workers.push_back(svc::parse_backend_address("unix:/tmp/w_none.sock"));
-  holder_opts.unix_socket_path = unique_socket_path();
-  holder_opts.tcp_port = 0;  // ephemeral
-  holder_opts.probe_interval_ms = 0.0;
-  svc::Router holder(std::move(holder_opts));
-  holder.start();
-  ASSERT_GT(holder.tcp_port(), 0);
-
-  svc::RouterOptions ro;
-  ro.workers.push_back(svc::parse_backend_address("unix:/tmp/w_none.sock"));
-  ro.unix_socket_path = unique_socket_path();
-  ro.tcp_port = holder.tcp_port();  // taken: bind must fail
-  ro.probe_interval_ms = 0.0;
-  const std::string path = ro.unix_socket_path;
-  svc::Router router(std::move(ro));
-  EXPECT_THROW(router.start(), std::runtime_error);
-  // The partially-built listeners were torn down: no orphaned socket
-  // file (which would shadow a later bind as "stale"), not running.
-  EXPECT_NE(::access(path.c_str(), F_OK), 0);
-  EXPECT_FALSE(router.running());
-
-  // And the same router starts cleanly once the conflict clears.
-  holder.stop_and_drain();
-  router.start();
-  EXPECT_TRUE(router.running());
-  EXPECT_EQ(::access(path.c_str(), F_OK), 0);
-  router.stop_and_drain();
-  EXPECT_NE(::access(path.c_str(), F_OK), 0);
-}
-
 TEST(RouterFleet, DrainingWorkerGetsNoNewRequests) {
   Fleet fleet(2);
   svc::Client client = fleet.client();

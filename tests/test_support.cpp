@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/hash.h"
 #include "support/op_counters.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -125,6 +126,22 @@ TEST(Formatting, FixedAndMs) {
   EXPECT_EQ(fmt_fixed(1.23456, 2), "1.23");
   EXPECT_EQ(fmt_fixed(-0.5, 1), "-0.5");
   EXPECT_EQ(fmt_ms(0.00123), "1.23");
+}
+
+// The shared hashes feed the router's ring layout, fault decisions,
+// trace sampling, Prng seeding and pack checksums: pin their outputs to
+// the published reference values.
+TEST(Hash, MatchesReferenceValues) {
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64(1), 0x910a2dec89025cc1ULL);
+  std::uint64_t state = 0;
+  EXPECT_EQ(splitmix64_next(state), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(state, kGoldenGamma);
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(unit_double(0), 0.0);
+  EXPECT_LT(unit_double(~std::uint64_t{0}), 1.0);
 }
 
 }  // namespace

@@ -399,4 +399,119 @@ TEST(ToolsE2E, LoadHarnessAgreesWithServerWindowedPercentiles) {
   fs::remove_all(dir);
 }
 
+// ---------------------------------------------------------------------------
+// Flag tables: every tool rejects flags it does not declare.
+
+int exit_status(int system_rc) {
+  return WIFEXITED(system_rc) ? WEXITSTATUS(system_rc) : -1;
+}
+
+TEST(ToolsE2E, BenchRejectsUnknownFlagsWithoutRunningTheGrid) {
+  namespace fs = std::filesystem;
+  const auto dir =
+      fs::temp_directory_path() / ("mcr_e2e_flags." + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  // Both used to run the full default grid and write BENCH_sprand.json.
+  for (const char* args : {" --output X.json", " --help"}) {
+    const auto out = run("cd " + dir.string() + " && " + tool("mcr_bench") + args);
+    EXPECT_EQ(exit_status(out.exit_code), 2) << args << ": " << out.stdout_text;
+    EXPECT_NE(out.stdout_text.find("unknown option"), std::string::npos) << out.stdout_text;
+    EXPECT_NE(out.stdout_text.find("usage: mcr_bench"), std::string::npos)
+        << out.stdout_text;
+  }
+  EXPECT_TRUE(fs::is_empty(dir)) << "a grid ran and wrote an artifact";
+  fs::remove_all(dir);
+}
+
+TEST(ToolsE2E, EveryToolRejectsAnUnknownFlagWithItsUsage) {
+  for (const char* name : {"mcr_solve", "mcr_gen", "mcr_fuzz", "mcr_bench",
+                           "mcr_bench_diff", "mcr_pack", "mcr_serve", "mcr_router",
+                           "mcr_query", "mcr_load", "mcr_chaos"}) {
+    const auto out = run(tool(name) + " --no-such-flag 1");
+    EXPECT_EQ(exit_status(out.exit_code), 2) << name << ": " << out.stdout_text;
+    EXPECT_NE(out.stdout_text.find("--no-such-flag"), std::string::npos)
+        << name << ": " << out.stdout_text;
+    EXPECT_NE(out.stdout_text.find(std::string("usage: ") + name), std::string::npos)
+        << name << ": " << out.stdout_text;
+  }
+}
+
+// The flags the repository benchmark starts its daemons with must stay
+// accepted: a worker on a dataset with an access log, and a router with
+// replicas over it. Both drain on SIGTERM and remove their sockets.
+TEST(ToolsE2E, BenchmarkDaemonFlagsStayAccepted) {
+  namespace fs = std::filesystem;
+  const auto dir =
+      fs::temp_directory_path() / ("mcr_e2e_pbflags." + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string pack = (dir / "g.mcrpack").string();
+  const std::string wsock = (dir / "w.sock").string();
+  const std::string rsock = (dir / "r.sock").string();
+  ASSERT_EQ(run(tool("mcr_pack") + " gen ring --n 16 --seed 2 --out " + pack).exit_code,
+            0);
+  const pid_t worker = spawn_tool({tool("mcr_serve"), "--socket", wsock, "--threads", "2",
+                                   "--flight-dump", "none", "--dataset", pack,
+                                   "--log-json", (dir / "w.jsonl").string()},
+                                  (dir / "w.log").string());
+  ASSERT_GT(worker, 0);
+  ASSERT_TRUE(wait_for_ping(wsock)) << slurp((dir / "w.log").string());
+  const pid_t router = spawn_tool({tool("mcr_router"), "--socket", rsock, "--replicas",
+                                   "2", "--worker", "unix:" + wsock},
+                                  (dir / "r.log").string());
+  ASSERT_GT(router, 0);
+  EXPECT_TRUE(wait_for_ping(rsock)) << slurp((dir / "r.log").string());
+  for (const pid_t pid : {router, worker}) {
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    int status = -1;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
+  EXPECT_FALSE(fs::exists(wsock));
+  EXPECT_FALSE(fs::exists(rsock));
+  fs::remove_all(dir);
+}
+
+// mcr_serve arms its SIGTERM handler before the listener binds, so a
+// supervisor's signal during a slow startup still drains the daemon and
+// removes the socket file instead of killing it mid-start.
+TEST(ToolsE2E, ServeArmsSignalHandlersBeforeBinding) {
+  namespace fs = std::filesystem;
+  const auto dir =
+      fs::temp_directory_path() / ("mcr_e2e_early." + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string graph = (dir / "big.dimacs").string();
+  const std::string sock = (dir / "mcr.sock").string();
+  // Preloading this takes long enough to observe the armed-but-unbound
+  // window (~0.1 s).
+  ASSERT_EQ(run(tool("mcr_gen") + " sprand --n 100000 --m 300000 --seed 2 --out " + graph)
+                .exit_code,
+            0);
+  const pid_t server =
+      spawn_tool({tool("mcr_serve"), "--socket", sock, "--flight-dump", "none",
+                  "--preload", graph},
+                 (dir / "serve.log").string());
+  ASSERT_GT(server, 0);
+  const auto catches_sigterm = [&] {
+    std::ifstream in("/proc/" + std::to_string(server) + "/status");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("SigCgt:", 0) == 0) {
+        return ((std::stoull(line.substr(7), nullptr, 16) >> (SIGTERM - 1)) & 1) != 0;
+      }
+    }
+    return false;
+  };
+  for (int i = 0; i < 10000 && !catches_sigterm(); ++i) ::usleep(1000);
+  ASSERT_TRUE(catches_sigterm());
+  EXPECT_FALSE(fs::exists(sock)) << "SIGTERM handler armed only after the bind";
+  ASSERT_EQ(::kill(server, SIGTERM), 0);
+  int status = -1;
+  ASSERT_EQ(::waitpid(server, &status, 0), server);
+  ASSERT_TRUE(WIFEXITED(status)) << slurp((dir / "serve.log").string());
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_FALSE(fs::exists(sock));
+  fs::remove_all(dir);
+}
+
 }  // namespace

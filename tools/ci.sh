@@ -21,8 +21,10 @@
 # corruption-rejection suite), and a fault-tolerant fleet smoke: three
 # workers behind mcr_router under a --strict mcr_load run with one
 # worker SIGKILLed mid-run and restarted — zero client-visible errors,
-# nonzero failover counter, breaker re-closed to up=1 (the TSan leg
-# additionally runs the router concurrency tests). A tiny mcr_bench
+# nonzero failover counter, breaker re-closed to up=1, and after the
+# SIGTERM drain every daemon exited and no socket file remains (the TSan
+# leg additionally runs the router and shared-listener concurrency
+# tests). A tiny mcr_bench
 # grid runs
 # twice and is gated with mcr_bench_diff: the self-diff must report zero
 # regressions (exit 0), and the A-vs-B cross-run diff uses a generous
@@ -262,8 +264,26 @@ print(stats['metrics']['gauges']['mcr_router_backend_up{worker=\"unix:$w2\"}'])
 
   kill -TERM "$router_pid"
   wait "$router_pid"
-  kill -TERM "$w1_pid" "$w3_pid" "$(cat "$tmp/w2_revived.pid")"
-  wait "$w1_pid" "$w3_pid" 2>/dev/null || true
+  local w2r_pid
+  w2r_pid="$(cat "$tmp/w2_revived.pid")"
+  kill -TERM "$w1_pid" "$w3_pid" "$w2r_pid"
+  wait "$w2_pid" 2>/dev/null || true  # reap the SIGKILLed original
+  # Every worker drains and exits 0 — the revived w2 too, which is not a
+  # child of this shell and so is polled — and no daemon leaves its
+  # socket file behind.
+  for pid in "$w1_pid" "$w3_pid"; do
+    wait "$pid" || { echo "FAIL: worker $pid did not drain cleanly" >&2; exit 1; }
+  done
+  # Zombies count as exited: the orphan's reaper may be slow to collect.
+  proc_alive() { [[ "$(awk '{print $3}' "/proc/$1/stat" 2>/dev/null)" =~ ^[^Z]$ ]]; }
+  for _ in $(seq 1 100); do proc_alive "$w2r_pid" || break; sleep 0.1; done
+  if proc_alive "$w2r_pid"; then
+    echo "FAIL: revived worker $w2r_pid still running after SIGTERM" >&2
+    exit 1
+  fi
+  for s in "$rsock" "$w1" "$w2" "$w3"; do
+    if [[ -e "$s" ]]; then echo "FAIL: socket file $s left behind after drain" >&2; exit 1; fi
+  done
   rm -rf "$tmp"
 }
 
@@ -390,12 +410,13 @@ echo "=== TSan build + concurrency tests ==="
 run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMCR_SANITIZE_THREAD=ON \
     -DMCR_FAULT_INJECTION=ON
 run cmake --build build-tsan -j "$JOBS" --target test_parallel_driver test_tiled_kernels \
-    test_obs test_svc test_router test_fault mcr_chaos
+    test_obs test_svc test_router test_listener test_fault mcr_chaos
 run build-tsan/tests/test_parallel_driver
 run build-tsan/tests/test_tiled_kernels
 run build-tsan/tests/test_obs
 run build-tsan/tests/test_svc
 run build-tsan/tests/test_router
+run build-tsan/tests/test_listener
 run build-tsan/tests/test_fault
 # Worker-death-heavy plan under TSan: retire/respawn vs. destructor is
 # the raciest path in the pool's self-healing.

@@ -1,5 +1,6 @@
 #include "cli.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mcr::cli {
@@ -61,7 +62,19 @@ double Options::get_double(const std::string& key, double fallback) const {
   return v;
 }
 
-Options parse(const std::vector<std::string>& args) {
+std::vector<std::string> split_csv(const std::string& csv) {
+  std::vector<std::string> out;
+  std::size_t begin = 0;
+  while (begin <= csv.size()) {
+    const std::size_t end = std::min(csv.find(',', begin), csv.size());
+    if (end > begin) out.push_back(csv.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return out;
+}
+
+Options parse(const std::vector<std::string>& args,
+              const std::vector<std::string_view>& flags) {
   Options out;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -69,8 +82,8 @@ Options parse(const std::vector<std::string>& args) {
       out.positional.push_back(arg);
       continue;
     }
-    if (arg.size() == 2) throw std::invalid_argument("lone '--' is not a valid option");
-    if (arg[2] == '-') throw std::invalid_argument("malformed option: " + arg);
+    if (arg.size() == 2) throw UsageError("lone '--' is not a valid option");
+    if (arg[2] == '-') throw UsageError("malformed option: " + arg);
     const std::string body = arg.substr(2);
     const std::size_t eq = body.find('=');
     std::string key;
@@ -85,16 +98,20 @@ Options parse(const std::vector<std::string>& args) {
     } else {
       key = body;
     }
+    if (std::find(flags.begin(), flags.end(), key) == flags.end()) {
+      throw UsageError("unknown option --" + key);
+    }
     out.named[key] = value;
     out.repeated[key].push_back(value);
   }
   return out;
 }
 
-Options parse(int argc, const char* const* argv) {
+Options parse(int argc, const char* const* argv,
+              const std::vector<std::string_view>& flags) {
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  return parse(args);
+  return parse(args, flags);
 }
 
 }  // namespace mcr::cli

@@ -1,13 +1,16 @@
 // Minimal command-line option parsing shared by the mcr tools.
 // Deliberately tiny: "--key value", "--key=value", bare "--flag", and
-// positional arguments. Parsing is a pure function over strings so the
-// test suite can drive it without spawning processes.
+// positional arguments. Each tool declares the flags it accepts and any
+// other flag is a usage error. Parsing is a pure function over strings
+// so the test suite can drive it without spawning processes.
 #ifndef MCR_TOOLS_CLI_H
 #define MCR_TOOLS_CLI_H
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mcr::cli {
@@ -37,10 +40,23 @@ struct Options {
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
 };
 
-/// Parses argv[1..argc). Throws std::invalid_argument on malformed
-/// input (e.g. "---x" or a lone "--").
-[[nodiscard]] Options parse(const std::vector<std::string>& args);
-[[nodiscard]] Options parse(int argc, const char* const* argv);
+/// The non-empty items of a comma-separated list ("a,,b" -> {a, b}).
+[[nodiscard]] std::vector<std::string> split_csv(const std::string& csv);
+
+/// A command line the tool cannot accept: an undeclared flag or a
+/// malformed option. Tools answer it with their usage text and exit 2.
+class UsageError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Parses argv[1..argc). `flags` declares every flag the tool accepts,
+/// without the leading "--". Throws UsageError on any other flag and on
+/// malformed input (e.g. "---x" or a lone "--").
+[[nodiscard]] Options parse(const std::vector<std::string>& args,
+                            const std::vector<std::string_view>& flags);
+[[nodiscard]] Options parse(int argc, const char* const* argv,
+                            const std::vector<std::string_view>& flags);
 
 }  // namespace mcr::cli
 

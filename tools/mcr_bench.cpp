@@ -32,7 +32,6 @@
 // cross-seed spread lives in the legacy bench binaries.
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,6 +51,12 @@ namespace {
 using namespace mcr;
 using namespace mcr::bench;
 
+constexpr const char* kUsage =
+    "usage: mcr_bench [--name NAME] [--workload sprand|sprand_ratio|circuit]\n"
+    "                 [--solvers a,b,c] [--out FILE] [--trials N] [--warmup N]\n"
+    "                 [--max-n N] [--n N --m M] [--threads N] [--tile-arcs N]\n"
+    "                 [--no-phases] [--list] [--version]\n";
+
 struct WorkloadSpec {
   std::string name;
   std::vector<std::string> default_solvers;
@@ -64,16 +69,6 @@ const std::vector<WorkloadSpec>& workload_specs() {
       {"circuit", {"howard", "ko", "yto", "karp", "dg"}},
   };
   return specs;
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 struct GridInstance {
@@ -139,7 +134,7 @@ int run(const cli::Options& opt) {
   const std::string name = opt.get("name", workload);
   const std::string out_path = opt.get("out", "BENCH_" + name + ".json");
   const std::vector<std::string> solvers =
-      opt.has("solvers") ? split_csv(opt.get("solvers")) : spec->default_solvers;
+      opt.has("solvers") ? cli::split_csv(opt.get("solvers")) : spec->default_solvers;
   for (const std::string& solver : solvers) {
     (void)SolverRegistry::instance().create(solver);  // validate early
   }
@@ -240,12 +235,18 @@ int run(const cli::Options& opt) {
 
 int main(int argc, char** argv) {
   try {
-    const mcr::cli::Options opt = mcr::cli::parse(argc, argv);
+    const cli::Options opt =
+        cli::parse(argc, argv,
+                   {"name", "workload", "solvers", "out", "trials", "warmup", "max-n",
+                    "n", "m", "threads", "tile-arcs", "no-phases", "list", "version"});
     if (opt.has("version")) {
-      std::cout << mcr::obs::version_string("mcr_bench");
+      std::cout << obs::version_string("mcr_bench");
       return 0;
     }
     return run(opt);
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mcr_bench: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_bench: " << e.what() << "\n";
     return 1;

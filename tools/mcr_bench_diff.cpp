@@ -21,10 +21,12 @@ namespace {
 
 using namespace mcr::bench;
 
+constexpr const char* kUsage =
+    "usage: mcr_bench_diff BASELINE CANDIDATE [--threshold PCT] [--all-cells]\n";
+
 int run(const mcr::cli::Options& opt) {
   if (opt.positional.size() != 2) {
-    std::cerr << "usage: mcr_bench_diff BASELINE CANDIDATE [--threshold PCT]"
-                 " [--all-cells]\n";
+    std::cerr << kUsage;
     return 2;
   }
   DiffOptions options;
@@ -53,12 +55,16 @@ int run(const mcr::cli::Options& opt) {
 
 int main(int argc, char** argv) {
   try {
-    const mcr::cli::Options opt = mcr::cli::parse(argc, argv);
+    const mcr::cli::Options opt =
+        mcr::cli::parse(argc, argv, {"threshold", "all-cells", "version"});
     if (opt.has("version")) {
       std::cout << mcr::obs::version_string("mcr_bench_diff");
       return 0;
     }
     return run(opt);
+  } catch (const mcr::cli::UsageError& e) {
+    std::cerr << "mcr_bench_diff: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_bench_diff: " << e.what() << "\n";
     return 2;

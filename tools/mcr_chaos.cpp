@@ -334,7 +334,9 @@ int main(int argc, char** argv) {
   std::string crash_dump;
   fault::Plan base_plan;
   try {
-    opt = cli::parse(argc, argv);
+    opt = cli::parse(argc, argv,
+                     {"seeds", "seed-base", "solves", "plan", "repeat-check", "trace",
+                      "flight", "crash-test"});
     seeds = static_cast<int>(opt.get_int_in("seeds", 8, 1, 100000));
     solves = static_cast<int>(opt.get_int_in("solves", 12, 1, 100000));
     seed_base = static_cast<std::uint64_t>(opt.get_int("seed-base", 1));

@@ -37,6 +37,10 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: mcr_fuzz [--trials N] [--seed N] [--max-n N] [--ratio] [--negative]\n"
+    "                [--threads N] [--trace-out FILE] [--verbose] [--version]\n";
+
 using namespace mcr;
 
 struct Instance {
@@ -133,7 +137,10 @@ void dump_failure(const Graph& g, const Instance& inst, std::uint64_t master_see
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt = cli::parse(argc, argv);
+    const cli::Options opt =
+        cli::parse(argc, argv,
+                   {"trials", "seed", "max-n", "ratio", "negative", "threads",
+                    "trace-out", "verbose", "version"});
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_fuzz");
       return 0;
@@ -199,6 +206,9 @@ int main(int argc, char** argv) {
     }
     std::cout << "all " << trials << " trials agree and certify\n";
     return 0;
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mcr_fuzz: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_fuzz: " << e.what() << "\n";
     return 1;

@@ -12,9 +12,7 @@
 #include <iostream>
 
 #include "cli.h"
-#include "gen/circuit.h"
-#include "gen/sprand.h"
-#include "gen/structured.h"
+#include "generate.h"
 #include "graph/io.h"
 #include "obs/build_info.h"
 
@@ -22,55 +20,27 @@ namespace {
 
 using namespace mcr;
 
-Graph generate(const std::string& family, const cli::Options& opt) {
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-  if (family == "sprand") {
-    gen::SprandConfig cfg;
-    cfg.n = static_cast<NodeId>(opt.get_int("n", 512));
-    cfg.m = static_cast<ArcId>(opt.get_int("m", 2 * cfg.n));
-    cfg.min_weight = opt.get_int("wmin", 1);
-    cfg.max_weight = opt.get_int("wmax", 10000);
-    cfg.min_transit = opt.get_int("tmin", 1);
-    cfg.max_transit = opt.get_int("tmax", 1);
-    cfg.seed = seed;
-    return gen::sprand(cfg);
-  }
-  if (family == "circuit") {
-    gen::CircuitConfig cfg;
-    cfg.registers = static_cast<NodeId>(opt.get_int("n", 512));
-    cfg.module_size = static_cast<NodeId>(opt.get_int("module", 32));
-    cfg.avg_fanout = static_cast<double>(opt.get_int("fanout", 150)) / 100.0;
-    cfg.seed = seed;
-    return gen::circuit(cfg);
-  }
-  if (family == "ring") {
-    return gen::random_ring(static_cast<NodeId>(opt.get_int("n", 64)),
-                            opt.get_int("wmin", 1), opt.get_int("wmax", 100), seed);
-  }
-  if (family == "torus") {
-    return gen::torus(static_cast<NodeId>(opt.get_int("rows", 8)),
-                      static_cast<NodeId>(opt.get_int("cols", 8)),
-                      opt.get_int("wmin", 1), opt.get_int("wmax", 100), seed);
-  }
-  throw std::invalid_argument("unknown family '" + family +
-                              "' (expected sprand | circuit | ring | torus)");
-}
+constexpr const char* kUsage =
+    "usage: mcr_gen <sprand|circuit|ring|torus> [options] [--out FILE]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt = cli::parse(argc, argv);
+    const cli::Options opt =
+        cli::parse(argc, argv,
+                   {"n", "m", "wmin", "wmax", "tmin", "tmax", "seed", "module",
+                    "fanout", "rows", "cols", "out", "version"});
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_gen");
       return 0;
     }
     if (opt.positional.size() != 1) {
-      std::cerr << "usage: mcr_gen <sprand|circuit|ring|torus> [options] [--out FILE]\n";
+      std::cerr << kUsage;
       return 2;
     }
-    const Graph g = generate(opt.positional[0], opt);
+    const Graph g = cli::generate_graph(opt.positional[0], opt);
     const std::string comment = "mcr_gen " + opt.positional[0] + " n=" +
                                 std::to_string(g.num_nodes()) + " m=" +
                                 std::to_string(g.num_arcs());
@@ -82,6 +52,9 @@ int main(int argc, char** argv) {
       write_dimacs(std::cout, g, comment);
     }
     return 0;
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mcr_gen: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_gen: " << e.what() << "\n";
     return 1;

@@ -80,6 +80,7 @@
 #include "support/prng.h"
 #include "svc/client.h"
 #include "svc/errors.h"
+#include "svc/listener.h"
 #include "svc/protocol.h"
 #include "svc/router.h"
 
@@ -87,6 +88,18 @@ namespace {
 
 using mcr::Prng;
 using Clock = std::chrono::steady_clock;
+
+constexpr const char* kUsage =
+    "usage: mcr_load --socket PATH | --port N | --target SPEC ...\n"
+    "                [--rps R | --ramp R1:S1,R2:S2,...] open loop\n"
+    "                [--concurrency K]                  closed loop\n"
+    "                [--connections N] [--duration S] [--requests N]\n"
+    "                [--mix solve=90,stats=5,ping=5] [--cold-pct P]\n"
+    "                [--reload-paths A.mcrpack,B.mcrpack] [--strict]\n"
+    "                [--graph-n N] [--seed N] [--output PATH]\n"
+    "                [--version]\n"
+    "       SPEC is unix:PATH, HOST:PORT, or PORT (repeatable;\n"
+    "       worker i drives target i mod N)\n";
 
 struct Phase {
   double rps = 0.0;
@@ -158,10 +171,7 @@ double parse_number(const std::string& text, const std::string& what) {
 
 std::vector<MixEntry> parse_mix(const std::string& spec) {
   std::vector<MixEntry> mix;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
+  for (const std::string& item : mcr::cli::split_csv(spec)) {
     const auto eq = item.find('=');
     if (eq == std::string::npos) {
       throw std::invalid_argument("--mix entry '" + item +
@@ -193,10 +203,7 @@ std::vector<MixEntry> parse_mix(const std::string& spec) {
 
 std::vector<Phase> parse_ramp(const std::string& spec) {
   std::vector<Phase> phases;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
+  for (const std::string& item : mcr::cli::split_csv(spec)) {
     const auto colon = item.find(':');
     if (colon == std::string::npos) {
       throw std::invalid_argument("--ramp entry '" + item +
@@ -420,16 +427,7 @@ std::string fmt_opt_ms(const std::optional<double>& v) {
 }
 
 std::string json_opt(const std::optional<double>& v) {
-  if (!v.has_value()) return "null";
-  std::ostringstream os;
-  os << *v;
-  return os.str();
-}
-
-std::string json_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
+  return v.has_value() ? mcr::svc::fmt_json_double(*v) : "null";
 }
 
 }  // namespace
@@ -437,24 +435,18 @@ std::string json_double(double v) {
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt = cli::parse(argc, argv);
+    const cli::Options opt =
+        cli::parse(argc, argv,
+                   {"socket", "port", "target", "rps", "ramp", "concurrency",
+                    "connections", "duration", "requests", "mix", "cold-pct",
+                    "reload-paths", "strict", "graph-n", "seed", "output", "version"});
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_load");
       return 0;
     }
     if (!opt.positional.empty() ||
         (!opt.has("socket") && !opt.has("port") && !opt.has("target"))) {
-      std::cerr
-          << "usage: mcr_load --socket PATH | --port N | --target SPEC ...\n"
-             "                [--rps R | --ramp R1:S1,R2:S2,...] open loop\n"
-             "                [--concurrency K]                  closed loop\n"
-             "                [--connections N] [--duration S] [--requests N]\n"
-             "                [--mix solve=90,stats=5,ping=5] [--cold-pct P]\n"
-             "                [--reload-paths A.mcrpack,B.mcrpack] [--strict]\n"
-             "                [--graph-n N] [--seed N] [--output PATH]\n"
-             "                [--version]\n"
-             "       SPEC is unix:PATH, HOST:PORT, or PORT (repeatable;\n"
-             "       worker i drives target i mod N)\n";
+      std::cerr << kUsage;
       return 2;
     }
 
@@ -503,13 +495,7 @@ int main(int argc, char** argv) {
     cfg.graph_n = opt.get_int_in("graph-n", 128, 2, 1 << 20);
     cfg.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
     cfg.strict = opt.has("strict");
-    {
-      std::stringstream ss(opt.get("reload-paths"));
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        if (!item.empty()) cfg.reload_paths.push_back(item);
-      }
-    }
+    cfg.reload_paths = cli::split_csv(opt.get("reload-paths"));
 
     // Probe every endpoint once before spawning workers so a wrong path
     // fails with one clear message instead of N.
@@ -588,11 +574,11 @@ int main(int argc, char** argv) {
               << fmt_opt_ms(p95) << "  p99 " << fmt_opt_ms(p99) << "  p99.9 "
               << fmt_opt_ms(p999) << "  mean "
               << (total.latencies_ms.empty() ? std::string("-")
-                                             : json_double(mean))
+                                             : svc::fmt_json_double(mean))
               << "  max "
               << (total.latencies_ms.empty()
                       ? std::string("-")
-                      : json_double(total.latencies_ms.back()))
+                      : svc::fmt_json_double(total.latencies_ms.back()))
               << "\n";
     std::cout << "  verbs:";
     for (const auto& [verb, n] : total.verbs) {
@@ -613,32 +599,32 @@ int main(int argc, char** argv) {
       out += ",\"mode\":\"";
       out += cfg.open_loop ? "open" : "closed";
       out += "\",\"config\":{\"connections\":" + std::to_string(cfg.connections);
-      out += ",\"cold_pct\":" + json_double(cfg.cold_pct);
+      out += ",\"cold_pct\":" + svc::fmt_json_double(cfg.cold_pct);
       out += ",\"graph_n\":" + std::to_string(cfg.graph_n);
       out += ",\"seed\":" + std::to_string(cfg.seed);
       out += ",\"phases\":[";
       for (std::size_t i = 0; i < cfg.phases.size(); ++i) {
         if (i != 0) out += ',';
-        out += "{\"rps\":" + json_double(cfg.phases[i].rps) +
-               ",\"seconds\":" + json_double(cfg.phases[i].seconds) + "}";
+        out += "{\"rps\":" + svc::fmt_json_double(cfg.phases[i].rps) +
+               ",\"seconds\":" + svc::fmt_json_double(cfg.phases[i].seconds) + "}";
       }
       out += "],\"mix\":{";
       for (std::size_t i = 0; i < cfg.mix.size(); ++i) {
         if (i != 0) out += ',';
         out += "\"" + svc::json_escape(cfg.mix[i].verb) +
-               "\":" + json_double(cfg.mix[i].weight);
+               "\":" + svc::fmt_json_double(cfg.mix[i].weight);
       }
       out += "}},\"build\":" + obs::build_info_json();
-      out += ",\"wall_seconds\":" + json_double(wall_s);
+      out += ",\"wall_seconds\":" + svc::fmt_json_double(wall_s);
       out += ",\"completed\":" + std::to_string(total.ok);
-      out += ",\"throughput_rps\":" + json_double(rps);
+      out += ",\"throughput_rps\":" + svc::fmt_json_double(rps);
       out += ",\"latency_ms\":{\"count\":" +
              std::to_string(total.latencies_ms.size());
       out += ",\"mean\":" +
-             (total.latencies_ms.empty() ? "null" : json_double(mean));
+             (total.latencies_ms.empty() ? "null" : svc::fmt_json_double(mean));
       out += ",\"max\":" + (total.latencies_ms.empty()
                                 ? "null"
-                                : json_double(total.latencies_ms.back()));
+                                : svc::fmt_json_double(total.latencies_ms.back()));
       out += ",\"p50\":" + json_opt(p50);
       out += ",\"p95\":" + json_opt(p95);
       out += ",\"p99\":" + json_opt(p99);
@@ -676,6 +662,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     return 0;
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mcr_load: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::invalid_argument& e) {
     std::cerr << "mcr_load: " << e.what() << "\n";
     return 2;

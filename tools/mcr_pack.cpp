@@ -15,9 +15,7 @@
 #include <iostream>
 
 #include "cli.h"
-#include "gen/circuit.h"
-#include "gen/sprand.h"
-#include "gen/structured.h"
+#include "generate.h"
 #include "graph/io.h"
 #include "obs/build_info.h"
 #include "store/format.h"
@@ -28,39 +26,12 @@ namespace {
 
 using namespace mcr;
 
-Graph generate(const std::string& family, const cli::Options& opt) {
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-  if (family == "sprand") {
-    gen::SprandConfig cfg;
-    cfg.n = static_cast<NodeId>(opt.get_int("n", 512));
-    cfg.m = static_cast<ArcId>(opt.get_int("m", 2 * cfg.n));
-    cfg.min_weight = opt.get_int("wmin", 1);
-    cfg.max_weight = opt.get_int("wmax", 10000);
-    cfg.min_transit = opt.get_int("tmin", 1);
-    cfg.max_transit = opt.get_int("tmax", 1);
-    cfg.seed = seed;
-    return gen::sprand(cfg);
-  }
-  if (family == "circuit") {
-    gen::CircuitConfig cfg;
-    cfg.registers = static_cast<NodeId>(opt.get_int("n", 512));
-    cfg.module_size = static_cast<NodeId>(opt.get_int("module", 32));
-    cfg.avg_fanout = static_cast<double>(opt.get_int("fanout", 150)) / 100.0;
-    cfg.seed = seed;
-    return gen::circuit(cfg);
-  }
-  if (family == "ring") {
-    return gen::random_ring(static_cast<NodeId>(opt.get_int("n", 64)),
-                            opt.get_int("wmin", 1), opt.get_int("wmax", 100), seed);
-  }
-  if (family == "torus") {
-    return gen::torus(static_cast<NodeId>(opt.get_int("rows", 8)),
-                      static_cast<NodeId>(opt.get_int("cols", 8)),
-                      opt.get_int("wmin", 1), opt.get_int("wmax", 100), seed);
-  }
-  throw std::invalid_argument("unknown family '" + family +
-                              "' (expected sprand | circuit | ring | torus)");
-}
+constexpr const char* kUsage =
+    "usage: mcr_pack build <input.dimacs> --out FILE.mcrpack\n"
+    "       mcr_pack gen <sprand|circuit|ring|torus> [options] --out FILE.mcrpack\n"
+    "       mcr_pack info FILE.mcrpack\n"
+    "       mcr_pack verify FILE.mcrpack\n";
+
 
 void report_write(const std::string& out_path, const store::PackWriteInfo& info) {
   std::cerr << "wrote " << out_path << " (" << info.file_bytes << " bytes, fingerprint "
@@ -118,25 +89,23 @@ int do_info(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace mcr;
-  const char* usage =
-      "usage: mcr_pack build <input.dimacs> --out FILE.mcrpack\n"
-      "       mcr_pack gen <sprand|circuit|ring|torus> [options] --out FILE.mcrpack\n"
-      "       mcr_pack info FILE.mcrpack\n"
-      "       mcr_pack verify FILE.mcrpack\n";
   try {
-    const cli::Options opt = cli::parse(argc, argv);
+    const cli::Options opt =
+        cli::parse(argc, argv,
+                   {"n", "m", "wmin", "wmax", "tmin", "tmax", "seed", "module",
+                    "fanout", "rows", "cols", "out", "version"});
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_pack");
       return 0;
     }
     if (opt.positional.empty()) {
-      std::cerr << usage;
+      std::cerr << kUsage;
       return 2;
     }
     const std::string& cmd = opt.positional[0];
     if (cmd == "build") {
       if (opt.positional.size() != 2 || !opt.has("out")) {
-        std::cerr << usage;
+        std::cerr << kUsage;
         return 2;
       }
       const Graph g = load_dimacs(opt.positional[1]);
@@ -145,23 +114,23 @@ int main(int argc, char** argv) {
     }
     if (cmd == "gen") {
       if (opt.positional.size() != 2 || !opt.has("out")) {
-        std::cerr << usage;
+        std::cerr << kUsage;
         return 2;
       }
-      const Graph g = generate(opt.positional[1], opt);
+      const Graph g = cli::generate_graph(opt.positional[1], opt);
       report_write(opt.get("out"), store::write_pack(opt.get("out"), g));
       return 0;
     }
     if (cmd == "info") {
       if (opt.positional.size() != 2) {
-        std::cerr << usage;
+        std::cerr << kUsage;
         return 2;
       }
       return do_info(opt.positional[1]);
     }
     if (cmd == "verify") {
       if (opt.positional.size() != 2) {
-        std::cerr << usage;
+        std::cerr << kUsage;
         return 2;
       }
       const store::PackReader reader = store::PackReader::open(opt.positional[1]);
@@ -170,7 +139,10 @@ int main(int argc, char** argv) {
       std::cout << reader.fingerprint_hex() << "\n";
       return 0;
     }
-    std::cerr << usage;
+    std::cerr << kUsage;
+    return 2;
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mcr_pack: " << e.what() << "\n" << kUsage;
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_pack: " << e.what() << "\n";

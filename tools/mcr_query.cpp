@@ -117,6 +117,11 @@ exit codes:
                         queue at capacity (vs 3 = unreachable)
 )";
 
+constexpr const char* kUsage =
+    "usage: mcr_query --socket PATH|--tcp PORT "
+    "<ping|load|solve|solvers|stats|top|health|reload|trace|raw> "
+    "[args] (--help for the exit-code table)\n";
+
 /// The scriptable exit-code contract: transient, retryable conditions
 /// get their own codes so shell callers can branch without parsing
 /// stderr (documented in --help and docs/ROBUSTNESS.md).
@@ -555,7 +560,10 @@ int main(int argc, char** argv) {
   using namespace mcr;
   cli::Options opt;
   try {
-    opt = cli::parse(argc, argv);
+    opt = cli::parse(argc, argv,
+                     {"socket", "tcp", "retry", "version", "help", "algo", "ratio", "max",
+                      "deadline-ms", "output", "trace-id", "prometheus", "json",
+                      "interval", "count", "path", "verb", "min-ms", "limit", "out"});
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_query");
       return 0;
@@ -565,11 +573,12 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (opt.positional.empty()) {
-      std::cerr << "usage: mcr_query --socket PATH|--tcp PORT "
-                   "<ping|load|solve|solvers|stats|top|health|reload|trace|raw> "
-                   "[args] (--help for the exit-code table)\n";
+      std::cerr << kUsage;
       return 2;
     }
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mcr_query: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_query: " << e.what() << "\n";
     return 2;

@@ -52,6 +52,17 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: mcr_router --socket PATH [--listen [HOST:]PORT]\n"
+    "                  --worker SPEC [--worker SPEC ...]\n"
+    "                  [--replicas R] [--vnodes N] [--attempts N]\n"
+    "                  [--probe-interval-ms MS] [--pool N]\n"
+    "                  [--max-frame BYTES] [--breaker-failures N]\n"
+    "                  [--breaker-cooldown-ms MS]\n"
+    "                  [--breaker-cooldown-max-ms MS]\n"
+    "                  [--window SECONDS] [--window-slots N] [--version]\n"
+    "       SPEC is unix:PATH, HOST:PORT, or PORT\n";
+
 int g_signal_pipe[2] = {-1, -1};
 
 void on_signal(int) {
@@ -63,7 +74,12 @@ void on_signal(int) {
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt = cli::parse(argc, argv);
+    const cli::Options opt =
+        cli::parse(argc, argv,
+                   {"socket", "listen", "worker", "replicas", "vnodes", "attempts",
+                    "probe-interval-ms", "pool", "max-frame", "breaker-failures",
+                    "breaker-cooldown-ms", "breaker-cooldown-max-ms", "window",
+                    "window-slots", "version"});
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_router");
       return 0;
@@ -71,16 +87,7 @@ int main(int argc, char** argv) {
     const std::vector<std::string> worker_specs = opt.get_all("worker");
     if (!opt.positional.empty() || worker_specs.empty() ||
         (!opt.has("socket") && !opt.has("listen"))) {
-      std::cerr
-          << "usage: mcr_router --socket PATH [--listen [HOST:]PORT]\n"
-             "                  --worker SPEC [--worker SPEC ...]\n"
-             "                  [--replicas R] [--vnodes N] [--attempts N]\n"
-             "                  [--probe-interval-ms MS] [--pool N]\n"
-             "                  [--max-frame BYTES] [--breaker-failures N]\n"
-             "                  [--breaker-cooldown-ms MS]\n"
-             "                  [--breaker-cooldown-max-ms MS]\n"
-             "                  [--window SECONDS] [--window-slots N] [--version]\n"
-             "       SPEC is unix:PATH, HOST:PORT, or PORT\n";
+      std::cerr << kUsage;
       return 2;
     }
 
@@ -164,6 +171,9 @@ int main(int argc, char** argv) {
     router.stop_and_drain();
     std::cout << "mcr_router: drained, exiting" << std::endl;
     return 0;
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mcr_router: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_router: " << e.what() << "\n";
     return 1;

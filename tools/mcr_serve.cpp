@@ -59,7 +59,6 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -73,6 +72,19 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: mcr_serve --socket PATH [--listen [HOST:]PORT] [--threads N]\n"
+    "                 [--tile-arcs N] [--queue K] [--batch N]\n"
+    "                 [--cache N] [--graphs N]\n"
+    "                 [--max-frame BYTES] [--preload FILE[,FILE...]]\n"
+    "                 [--dataset FILE.mcrpack]\n"
+    "                 [--trace FILE] [--slow-ms MS] [--trace-sample P]\n"
+    "                 [--flight N] [--flight-pinned N]\n"
+    "                 [--flight-dump PATH] [--log-json PATH]\n"
+    "                 [--window SECONDS] [--window-slots N]\n"
+    "                 [--stats-interval SECONDS] [--stats-out PATH]\n"
+    "                 [--version]\n";
+
 // Self-pipe: the handler only writes one byte; the main thread blocks
 // on the read end and runs the (non-async-signal-safe) drain.
 int g_signal_pipe[2] = {-1, -1};
@@ -85,38 +97,23 @@ void on_sighup(int) {
   [[maybe_unused]] const ssize_t rc = ::write(g_signal_pipe[1], "h", 1);
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt = cli::parse(argc, argv);
+    const cli::Options opt =
+        cli::parse(argc, argv,
+                   {"socket", "listen", "threads", "tile-arcs", "queue", "batch", "cache",
+                    "graphs", "max-frame", "preload", "dataset", "trace", "slow-ms",
+                    "trace-sample", "flight", "flight-pinned", "flight-dump", "log-json",
+                    "window", "window-slots", "stats-interval", "stats-out", "version"});
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_serve");
       return 0;
     }
     if (!opt.positional.empty() || (!opt.has("socket") && !opt.has("listen"))) {
-      std::cerr << "usage: mcr_serve --socket PATH [--listen [HOST:]PORT] [--threads N]\n"
-                   "                 [--tile-arcs N] [--queue K] [--batch N]\n"
-                   "                 [--cache N] [--graphs N]\n"
-                   "                 [--max-frame BYTES] [--preload FILE[,FILE...]]\n"
-                   "                 [--dataset FILE.mcrpack]\n"
-                   "                 [--trace FILE] [--slow-ms MS] [--trace-sample P]\n"
-                   "                 [--flight N] [--flight-pinned N]\n"
-                   "                 [--flight-dump PATH] [--log-json PATH]\n"
-                   "                 [--window SECONDS] [--window-slots N]\n"
-                   "                 [--stats-interval SECONDS] [--stats-out PATH]\n"
-                   "                 [--version]\n";
+      std::cerr << kUsage;
       return 2;
     }
 
@@ -169,12 +166,27 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    // Handlers go in BEFORE the server exists: a supervisor can deliver
+    // SIGTERM while the daemon is still preloading, attaching its dataset
+    // or binding, and the default action would skip stop_and_drain()
+    // (dropping in-flight work, orphaning the socket file). With the pipe
+    // armed first, an early signal makes the wait loop below return at
+    // once and the drain path still runs.
+    if (::pipe(g_signal_pipe) != 0) {
+      std::cerr << "mcr_serve: cannot create signal pipe\n";
+      return 1;
+    }
+    std::signal(SIGPIPE, SIG_IGN);
+    std::signal(SIGTERM, on_signal);
+    std::signal(SIGINT, on_signal);
+    std::signal(SIGHUP, on_sighup);
+
     svc::Server server(so);
     const std::string dump_path = opt.get("flight-dump", "mcr_flight_dump.json");
     if (dump_path != "none") {
       obs::install_fatal_dump(&server.flight(), dump_path);
     }
-    for (const std::string& file : split_csv(opt.get("preload"))) {
+    for (const std::string& file : cli::split_csv(opt.get("preload"))) {
       std::cout << "preload: " << file << " -> " << server.preload_dimacs_file(file)
                 << "\n";
     }
@@ -195,14 +207,6 @@ int main(int argc, char** argv) {
               << so.cache_entries << " entries, batch <= " << so.batch_max << ")"
               << std::endl;
 
-    if (::pipe(g_signal_pipe) != 0) {
-      std::cerr << "mcr_serve: cannot create signal pipe\n";
-      return 1;
-    }
-    std::signal(SIGPIPE, SIG_IGN);
-    std::signal(SIGTERM, on_signal);
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGHUP, on_sighup);
     for (;;) {
       char byte = 0;
       const ssize_t got = ::read(g_signal_pipe[0], &byte, 1);
@@ -228,6 +232,9 @@ int main(int argc, char** argv) {
     }
     std::cout << "mcr_serve: drained, exiting" << std::endl;
     return 0;
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mcr_serve: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_serve: " << e.what() << "\n";
     return 1;

@@ -52,6 +52,13 @@ namespace {
 
 using namespace mcr;
 
+constexpr const char* kUsage =
+    "usage: mcr_solve <file.dimacs> [--algo NAME] [--ratio] [--max]\n"
+    "                 [--verify] [--critical] [--counters] [--all]\n"
+    "                 [--threads N] [--tile-arcs N] [--trace FILE] [--metrics]\n"
+    "                 [--metrics-json FILE] [--output json] [--list]\n"
+    "                 [--version]\n";
+
 int solve_one(const Graph& g, const std::string& algo, bool ratio, bool max,
               const cli::Options& opt, obs::TraceSink* trace,
               obs::MetricsRegistry* metrics) {
@@ -115,7 +122,11 @@ int solve_one(const Graph& g, const std::string& algo, bool ratio, bool max,
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt = cli::parse(argc, argv);
+    const cli::Options opt =
+        cli::parse(argc, argv,
+                   {"algo", "ratio", "max", "verify", "critical", "counters", "all",
+                    "threads", "tile-arcs", "trace", "metrics", "metrics-json", "output",
+                    "json", "list", "version"});
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_solve");
       return 0;
@@ -130,11 +141,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (opt.positional.size() != 1) {
-      std::cerr << "usage: mcr_solve <file.dimacs> [--algo NAME] [--ratio] [--max]\n"
-                   "                 [--verify] [--critical] [--counters] [--all]\n"
-                   "                 [--threads N] [--trace FILE] [--metrics]\n"
-                   "                 [--metrics-json FILE] [--output json] [--list]\n"
-                   "                 [--version]\n";
+      std::cerr << kUsage;
       return 2;
     }
     const Graph g = load_dimacs(opt.positional[0]);
@@ -184,6 +191,9 @@ int main(int argc, char** argv) {
       std::cout << "metrics: wrote JSON dump to " << opt.get("metrics-json") << "\n";
     }
     return rc;
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mcr_solve: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_solve: " << e.what() << "\n";
     return 1;
