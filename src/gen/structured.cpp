@@ -18,6 +18,7 @@ Graph ring(const std::vector<std::int64_t>& weights) {
 }
 
 Graph random_ring(NodeId n, std::int64_t lo, std::int64_t hi, std::uint64_t seed) {
+  if (lo > hi) throw std::invalid_argument("ring: empty weight interval");
   Prng rng(seed);
   std::vector<std::int64_t> weights(static_cast<std::size_t>(n));
   for (auto& w : weights) w = rng.uniform_int(lo, hi);

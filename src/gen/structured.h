@@ -19,7 +19,8 @@ namespace mcr::gen {
 /// weights (size n) and unit transit.
 [[nodiscard]] Graph ring(const std::vector<std::int64_t>& weights);
 
-/// Ring with uniform random weights in [lo, hi].
+/// Ring with uniform random weights in [lo, hi]; throws
+/// std::invalid_argument when lo > hi.
 [[nodiscard]] Graph random_ring(NodeId n, std::int64_t lo, std::int64_t hi,
                                 std::uint64_t seed);
 

@@ -34,7 +34,9 @@ std::uint64_t Prng::next() {
 
 std::int64_t Prng::uniform_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
-  const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo may exceed the int64 range.
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (range == 0) {  // full 64-bit range
     return static_cast<std::int64_t>(next());
   }
@@ -42,7 +44,7 @@ std::int64_t Prng::uniform_int(std::int64_t lo, std::int64_t hi) {
   const std::uint64_t limit = UINT64_MAX - UINT64_MAX % range;
   std::uint64_t v = next();
   while (v >= limit) v = next();
-  return lo + static_cast<std::int64_t>(v % range);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + v % range);
 }
 
 double Prng::uniform_real() {

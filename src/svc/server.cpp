@@ -12,14 +12,12 @@
 #include "core/driver.h"
 #include "core/registry.h"
 #include "fault/fault.h"
-#include "gen/circuit.h"
-#include "gen/sprand.h"
-#include "gen/structured.h"
 #include "graph/io.h"
 #include "obs/build_info.h"
 #include "store/format.h"
 #include "support/json.h"
 #include "support/stats.h"
+#include "svc/graph_source.h"
 #include "svc/result_json.h"
 
 namespace mcr::svc {
@@ -47,42 +45,6 @@ Objective parse_objective(const std::string& s) {
   throw RequestError(kErrBadRequest,
                      "unknown objective '" + s +
                          "' (expected min_mean | min_ratio | max_mean | max_ratio)");
-}
-
-std::int64_t int_field(const json::Value& obj, const std::string& key,
-                       std::int64_t fallback) {
-  if (!obj.has(key)) return fallback;
-  return static_cast<std::int64_t>(obj.at(key).as_double());
-}
-
-Graph generate_from_spec(const json::Value& spec) {
-  const std::string family = spec.string_or("family", "");
-  const auto seed = static_cast<std::uint64_t>(int_field(spec, "seed", 1));
-  if (family == "sprand") {
-    gen::SprandConfig cfg;
-    cfg.n = static_cast<NodeId>(int_field(spec, "n", 512));
-    cfg.m = static_cast<ArcId>(int_field(spec, "m", 2 * int_field(spec, "n", 512)));
-    cfg.min_weight = int_field(spec, "wmin", 1);
-    cfg.max_weight = int_field(spec, "wmax", 10000);
-    cfg.min_transit = int_field(spec, "tmin", 1);
-    cfg.max_transit = int_field(spec, "tmax", 1);
-    cfg.seed = seed;
-    return gen::sprand(cfg);
-  }
-  if (family == "circuit") {
-    gen::CircuitConfig cfg;
-    cfg.registers = static_cast<NodeId>(int_field(spec, "n", 512));
-    cfg.module_size = static_cast<NodeId>(int_field(spec, "module", 32));
-    cfg.seed = seed;
-    return gen::circuit(cfg);
-  }
-  if (family == "ring") {
-    return gen::random_ring(static_cast<NodeId>(int_field(spec, "n", 64)),
-                            int_field(spec, "wmin", 1), int_field(spec, "wmax", 100),
-                            seed);
-  }
-  throw RequestError(kErrBadRequest, "unknown generator family '" + family +
-                                         "' (expected sprand | circuit | ring)");
 }
 
 /// "PING | LOAD | ... | RELOAD" for the unknown-verb message.
@@ -295,6 +257,7 @@ void Server::finish_request(RequestContext& ctx, double total_ms) {
       if (!value.empty()) ctx.trace->note(key, value);
     };
     note("fingerprint", ctx.fingerprint);
+    note("resolve", ctx.resolve);
     note("algo", ctx.algo);
     note("objective", ctx.objective);
     note("cache", ctx.cache);
@@ -371,10 +334,12 @@ std::string Server::handle_reload(const json::Value& req, RequestContext& ctx) {
   return out;
 }
 
-std::pair<std::shared_ptr<const Graph>, std::string> Server::resolve_graph(
-    const json::Value& req) {
-  if (req.has("fingerprint")) {
-    const std::string fp = req.at("fingerprint").as_string();
+GraphRegistry::Resident Server::resolve_graph(const json::Value& req,
+                                              RequestContext& ctx) {
+  const GraphSource source = parse_graph_source(req);
+  if (source.kind == GraphSource::Kind::kFingerprint) {
+    ctx.resolve = "fingerprint";
+    const std::string& fp = source.ref;
     std::shared_ptr<const Graph> g = graphs_.find(fp);
     if (g == nullptr) {
       // The attached dataset is authoritative even if LRU pressure from
@@ -391,27 +356,21 @@ std::pair<std::shared_ptr<const Graph>, std::string> Server::resolve_graph(
     }
     return {std::move(g), fp};
   }
-  Graph loaded = [&]() -> Graph {
-    if (req.has("dimacs")) {
-      std::istringstream is(req.at("dimacs").as_string());
-      return read_dimacs(is);
+  // The common case, a repeated source, answers from the alias memo
+  // without building anything.
+  if (!source.alias_key.empty()) {
+    GraphRegistry::Resident hit = graphs_.find_alias(source.alias_key);
+    if (hit.graph != nullptr) {
+      ctx.resolve = "alias";
+      return hit;
     }
-    if (req.has("path")) return load_dimacs(req.at("path").as_string());
-    if (req.has("generator")) return generate_from_spec(req.at("generator"));
-    throw RequestError(kErrBadRequest,
-                       "no graph source (expected one of fingerprint | dimacs | "
-                       "path | generator)");
-  }();
-  std::string fp = graphs_.add(std::move(loaded));
-  std::shared_ptr<const Graph> g = graphs_.find(fp);
-  if (g == nullptr) {  // capacity so small the new entry was evicted at once
-    throw RequestError(kErrInternal, "graph evicted immediately after load");
   }
-  return {std::move(g), fp};
+  ctx.resolve = "built";
+  return graphs_.add(source.build(), source.alias_key);
 }
 
 std::string Server::handle_load(const json::Value& req, RequestContext& ctx) {
-  const auto [graph, fp] = resolve_graph(req);
+  const auto [graph, fp] = resolve_graph(req, ctx);
   ctx.fingerprint = fp;
   std::ostringstream os;
   os << "{\"status\":\"ok\",\"fingerprint\":\"" << fp
@@ -551,7 +510,7 @@ void Server::stats_loop() {
 }
 
 std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
-  auto [graph, fp] = resolve_graph(req);
+  auto [graph, fp] = resolve_graph(req, ctx);
   const Objective objective = parse_objective(req.string_or("objective", "min_mean"));
   const std::string algo =
       req.string_or("algo", objective.ratio ? "howard_ratio" : "howard");

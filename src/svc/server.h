@@ -13,13 +13,14 @@
 //                                                    solve_many on the
 //                                                    work-stealing pool)
 //
-// Request lifecycle for SOLVE: resolve the graph (content fingerprint
-// via the GraphRegistry), consult the ResultCache (hit → answer from
-// memory; identical request in flight → join it), otherwise become the
-// flight leader and enter the bounded queue. Admission counts every
-// admitted-but-unfinished solve: at capacity the request is rejected
-// immediately with BUSY (explicit backpressure — the client decides
-// whether to retry; nothing hangs, nothing is silently dropped).
+// Request lifecycle for SOLVE: resolve the graph (content fingerprint,
+// or a repeated source's alias, via the GraphRegistry), consult the
+// ResultCache (hit → answer from memory; identical request in flight →
+// join it), otherwise become the flight leader and enter the bounded
+// queue. Admission counts every admitted-but-unfinished solve: at
+// capacity the request is rejected immediately with BUSY (explicit
+// backpressure — the client decides whether to retry; nothing hangs,
+// nothing is silently dropped).
 //
 // Shutdown (stop_and_drain, wired to SIGTERM in mcr_serve): stop
 // accepting, half-close existing connections so no new requests enter,
@@ -178,6 +179,7 @@ class Server {
     std::string verb = "INVALID";
     std::shared_ptr<obs::RequestTrace> trace;
     std::string fingerprint;
+    std::string resolve;  // "alias" | "built" | "fingerprint" | ""
     std::string algo;
     std::string objective;
     std::string cache;  // "hit" | "miss" | "join" | ""
@@ -231,11 +233,11 @@ class Server {
   /// the access-log line, and meters the request latency.
   void finish_request(RequestContext& ctx, double total_ms);
 
-  /// Parses the request's graph source ("fingerprint" | "dimacs" |
-  /// "path" | "generator") and returns (resident graph, fingerprint).
-  /// Throws std::runtime_error with a client-facing message.
-  std::pair<std::shared_ptr<const Graph>, std::string> resolve_graph(
-      const json::Value& req);
+  /// Resolves the request's graph source (svc/graph_source.h) to a
+  /// resident graph: a fingerprint lookup, an alias hit, or a build
+  /// registered under the source's alias key. Records which in
+  /// ctx.resolve. Throws with a client-facing message.
+  GraphRegistry::Resident resolve_graph(const json::Value& req, RequestContext& ctx);
 
   void process_batch(std::vector<std::shared_ptr<SolveJob>>& batch);
   void solve_single(SolveJob& job);

@@ -22,6 +22,7 @@
 
 #include "core/driver.h"
 #include "core/registry.h"
+#include "gen/sprand.h"
 #include "graph/builder.h"
 #include "graph/fingerprint.h"
 #include "graph/io.h"
@@ -313,6 +314,44 @@ TEST(GraphRegistry, IdempotentAddLruEvictionAndSharedOwnership) {
   // The evicted graph survives for holders of the shared_ptr.
   EXPECT_EQ(held->num_nodes(), 8u);
   EXPECT_EQ(metrics.counter("mcr_graph_evictions_total").value(), 1u);
+}
+
+TEST(GraphRegistry, AliasesAreCappedPerEntryAndDieWithTheirEntry) {
+  obs::MetricsRegistry metrics;
+  svc::GraphRegistry reg(1, &metrics);
+  const std::string alias_gauge =
+      obs::labeled_name("mcr_graph_bytes", {{"backing", "alias"}});
+
+  // One content under kMaxAliases + 1 keys: the oldest key is dropped.
+  const std::size_t keys = svc::GraphRegistry::kMaxAliases + 1;
+  std::string fp;
+  for (std::size_t i = 0; i < keys; ++i) {
+    fp = reg.add(make_ring(8, 1), "key" + std::to_string(i)).fingerprint;
+  }
+  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.find_alias("key0").graph, nullptr);
+  for (std::size_t i = 1; i < keys; ++i) {
+    const svc::GraphRegistry::Resident hit = reg.find_alias("key" + std::to_string(i));
+    ASSERT_NE(hit.graph, nullptr) << i;
+    EXPECT_EQ(hit.fingerprint, fp);
+  }
+  EXPECT_EQ(reg.alias_bytes(), 4u * svc::GraphRegistry::kMaxAliases);
+  EXPECT_EQ(metrics.gauge(alias_gauge).value(),
+            static_cast<std::int64_t>(reg.alias_bytes()));
+  EXPECT_EQ(metrics.counter("mcr_graph_alias_hits_total").value(),
+            svc::GraphRegistry::kMaxAliases);
+  EXPECT_EQ(metrics.counter("mcr_graph_alias_misses_total").value(), 1u);
+
+  // Evicting the entry erases every alias it carried.
+  const svc::GraphRegistry::Resident other = reg.add(make_ring(8, 2), "other");
+  EXPECT_NE(other.fingerprint, fp);
+  EXPECT_EQ(reg.find(fp), nullptr);
+  for (std::size_t i = 0; i < keys; ++i) {
+    EXPECT_EQ(reg.find_alias("key" + std::to_string(i)).graph, nullptr);
+  }
+  EXPECT_EQ(reg.find_alias("other").fingerprint, other.fingerprint);
+  EXPECT_EQ(reg.alias_bytes(), std::string("other").size());
+  EXPECT_EQ(metrics.gauge(alias_gauge).value(), 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -1342,6 +1381,316 @@ TEST(SvcDataset, StartupWithBadDatasetFailsLoudly) {
   // A daemon told to serve a dataset it cannot attach must not come up
   // quietly empty.
   EXPECT_THROW(server.start(), store::PackError);
+}
+
+// ---------------------------------------------------------------------------
+// Graph sources: the alias memo in front of every build, and strict
+// generator specs.
+
+std::uint64_t counter_value(svc::Server& server, const std::string& name) {
+  return server.metrics().counter(name).value();
+}
+
+std::string solve_gen(const std::string& spec, const std::string& trace_id = "") {
+  std::string out = R"({"verb":"SOLVE",)";
+  if (!trace_id.empty()) out += R"("trace_id":")" + trace_id + "\",";
+  return out + R"("generator":)" + spec + "}";
+}
+
+/// The response's trailing "result" object, byte for byte.
+std::string result_bytes(const std::string& raw) {
+  const std::size_t pos = raw.find("\"result\":");
+  return pos == std::string::npos ? std::string() : raw.substr(pos);
+}
+
+/// The flight recorder's "resolve" note for one request.
+std::string resolve_note(svc::Server& server, const std::string& trace_id) {
+  obs::FlightRecorder::Filter filter;
+  filter.trace_id = trace_id;
+  for (const auto& trace : server.flight().select(filter)) {
+    for (const auto& [key, value] : trace->notes()) {
+      if (key == "resolve") return value;
+    }
+  }
+  return "";
+}
+
+std::string local_sprand_fp(NodeId n, ArcId m, std::uint64_t seed) {
+  gen::SprandConfig cfg;
+  cfg.n = n;
+  cfg.m = m;
+  cfg.seed = seed;
+  return fingerprint_hex(gen::sprand(cfg));
+}
+
+TEST(SvcGraphSource, RepeatedGeneratorSolveIsAnAliasHitWithIdenticalBytes) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  svc::Server server(so);
+  server.start();
+  svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+
+  const std::string spec = R"({"family":"sprand","n":64,"seed":9})";
+  const std::string cold = client.request_raw(solve_gen(spec, "gen-cold"));
+  const json::Value first = json::parse(cold);
+  ASSERT_EQ(first.string_or("status", ""), "ok") << cold;
+  EXPECT_FALSE(first.at("cached").as_bool());
+  EXPECT_EQ(first.at("fingerprint").as_string(), local_sprand_fp(64, 128, 9));
+  const std::uint64_t loads = counter_value(server, "mcr_graph_loads_total");
+  EXPECT_EQ(loads, 1u);
+
+  const std::string warm = client.request_raw(solve_gen(spec, "gen-warm"));
+  const json::Value second = json::parse(warm);
+  ASSERT_EQ(second.string_or("status", ""), "ok") << warm;
+  EXPECT_TRUE(second.at("cached").as_bool());
+  EXPECT_EQ(second.at("fingerprint").as_string(), first.at("fingerprint").as_string());
+  EXPECT_EQ(result_bytes(warm), result_bytes(cold));
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_hits_total"), 1u);
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_misses_total"), 1u);
+  EXPECT_EQ(counter_value(server, "mcr_graph_loads_total"), loads);
+
+  // Every SOLVE/LOAD notes how its graph was resolved.
+  const std::string fp = first.at("fingerprint").as_string();
+  ASSERT_EQ(client.request(R"({"verb":"SOLVE","trace_id":"by-fp","fingerprint":")" + fp +
+                           "\"}")
+                .string_or("status", ""),
+            "ok");
+  ASSERT_EQ(client.request(R"({"verb":"LOAD","trace_id":"load-gen","generator":)" + spec + "}")
+                .string_or("status", ""),
+            "ok");
+  EXPECT_EQ(resolve_note(server, "gen-cold"), "built");
+  EXPECT_EQ(resolve_note(server, "gen-warm"), "alias");
+  EXPECT_EQ(resolve_note(server, "by-fp"), "fingerprint");
+  EXPECT_EQ(resolve_note(server, "load-gen"), "alias");
+  server.stop_and_drain();
+}
+
+TEST(SvcGraphSource, SpecsEqualAfterDefaultsShareOneAlias) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  svc::Server server(so);
+  server.start();
+  svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+
+  const json::Value a = client.request(solve_gen(R"({"family":"sprand","n":64})"));
+  ASSERT_EQ(a.string_or("status", ""), "ok");
+  for (const char* spec :
+       {R"({"family":"sprand","n":64,"m":128})",
+        R"({"seed":1,"tmax":1,"tmin":1,"wmax":10000,"wmin":1,"m":128,"n":64,"family":"sprand"})"}) {
+    const json::Value b = client.request(solve_gen(spec));
+    ASSERT_EQ(b.string_or("status", ""), "ok") << spec;
+    EXPECT_EQ(b.at("fingerprint").as_string(), a.at("fingerprint").as_string());
+  }
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_hits_total"), 2u);
+  EXPECT_EQ(counter_value(server, "mcr_graph_loads_total"), 1u);
+  server.stop_and_drain();
+}
+
+TEST(SvcGraphSource, LargeAdjacentSeedsGiveDistinctGraphs) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  svc::Server server(so);
+  server.start();
+  svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+
+  // Six significant digits print both seeds as 1.23457e+12; the alias
+  // key must not.
+  std::vector<std::string> fps;
+  for (const std::uint64_t seed : {1234567890123ULL, 1234567890124ULL}) {
+    const json::Value r = client.request(
+        solve_gen(R"({"family":"sprand","n":64,"seed":)" + std::to_string(seed) + "}"));
+    ASSERT_EQ(r.string_or("status", ""), "ok");
+    EXPECT_FALSE(r.at("cached").as_bool());
+    EXPECT_EQ(r.at("fingerprint").as_string(), local_sprand_fp(64, 128, seed));
+    fps.push_back(r.at("fingerprint").as_string());
+  }
+  EXPECT_NE(fps[0], fps[1]);
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_hits_total"), 0u);
+  server.stop_and_drain();
+}
+
+TEST(SvcGraphSource, DimacsTextsOneByteApartNeverShareAnAlias) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  svc::Server server(so);
+  server.start();
+  svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+  const auto load = [&](const std::string& text) {
+    const json::Value r = client.request(R"({"verb":"LOAD","dimacs":")" +
+                                         svc::json_escape(text) + "\"}");
+    EXPECT_EQ(r.string_or("status", ""), "ok") << text;
+    return r.string_or("fingerprint", "");
+  };
+
+  const std::string base = "p mcr 3 3\na 1 2 5\na 2 3 7\na 3 1 4\n";
+  std::string weight = base;
+  weight[weight.size() - 2] = '6';  // last arc weight 4 -> 6
+  std::string comment = base;
+  comment[0] = 'c';  // p line -> comment line: not a valid graph
+
+  const std::string fp = load(base);
+  EXPECT_NE(load(weight), fp);
+  const json::Value bad = client.request(R"({"verb":"LOAD","dimacs":")" +
+                                         svc::json_escape(comment) + "\"}");
+  EXPECT_EQ(bad.string_or("code", ""), "BAD_REQUEST");
+  // Same content through a different text: a miss, then the same entry.
+  EXPECT_EQ(load("c same arcs, one more line\n" + base), fp);
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_hits_total"), 0u);
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_misses_total"), 4u);
+  EXPECT_EQ(load(base), fp);
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_hits_total"), 1u);
+  EXPECT_EQ(counter_value(server, "mcr_graph_loads_total"), 2u);
+  server.stop_and_drain();
+}
+
+TEST(SvcGraphSource, PathSourcesAreNeverMemoized) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  svc::Server server(so);
+  server.start();
+  svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+
+  const std::string path = "/tmp/mcr_svc_path_" + std::to_string(::getpid()) + ".dimacs";
+  const std::string load = R"({"verb":"LOAD","path":")" + svc::json_escape(path) + "\"}";
+  const Graph a = make_ring(8, 1);
+  const Graph b = make_ring(8, 2);
+  save_dimacs(path, a);
+  EXPECT_EQ(client.request(load).string_or("fingerprint", ""), fingerprint_hex(a));
+  save_dimacs(path, b);
+  EXPECT_EQ(client.request(load).string_or("fingerprint", ""), fingerprint_hex(b));
+  std::remove(path.c_str());
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_hits_total"), 0u);
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_misses_total"), 0u);
+  server.stop_and_drain();
+}
+
+TEST(SvcGraphSource, EvictedEntryDropsItsAliasesAndTheNextRequestRebuilds) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  so.graph_entries = 1;
+  svc::Server server(so);
+  server.start();
+  svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+  const std::string s1 = R"({"family":"sprand","n":48,"seed":1})";
+  const std::string s2 = R"({"family":"sprand","n":48,"seed":2})";
+
+  const std::string cold = client.request_raw(solve_gen(s1));
+  ASSERT_EQ(json::parse(cold).string_or("status", ""), "ok");
+  ASSERT_EQ(client.request(solve_gen(s2)).string_or("status", ""), "ok");
+  EXPECT_EQ(server.graphs().size(), 1u);
+  EXPECT_EQ(counter_value(server, "mcr_graph_evictions_total"), 1u);
+
+  // s1's entry and its alias are gone: a miss, a rebuild, the same answer.
+  const std::string again = client.request_raw(solve_gen(s1, "after-evict"));
+  EXPECT_EQ(json::parse(again).at("fingerprint").as_string(),
+            local_sprand_fp(48, 96, 1));
+  EXPECT_EQ(result_bytes(again), result_bytes(cold));
+  EXPECT_EQ(resolve_note(server, "after-evict"), "built");
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_hits_total"), 0u);
+  EXPECT_EQ(counter_value(server, "mcr_graph_loads_total"), 3u);
+  // Only the resident entry's alias is held.
+  EXPECT_EQ(server.graphs().alias_bytes(),
+            std::string("gen:sprand;n=48;m=96;wmin=1;wmax=10000;tmin=1;tmax=1;seed=1").size());
+  server.stop_and_drain();
+}
+
+TEST(SvcGraphSource, StrictSpecsRejectWhatTheGeneratorWouldNotRead) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  svc::Server server(so);
+  server.start();
+  svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+
+  const char* rejected[] = {
+      R"({"family":"sprand","n":512.7})",
+      R"({"family":"sprand","n":64,"seed":1.5})",
+      R"({"family":"sprand","n":64,"seed":-1})",
+      R"({"family":"sprand","n":64,"seed":9007199254740994})",  // 2^53 + 2
+      R"({"family":"sprand","n":64,"seed":1e19})",              // beyond int64
+      R"({"family":"sprand","n":64,"seed":1e300})",
+      R"({"family":"sprand","n":4294967360})",                  // beyond NodeId
+      R"({"family":"sprand","n":1610612736})",                  // default m = 2n beyond ArcId
+      R"({"family":"sprand","n":64,"wmin":-1e19})",
+      R"({"family":"sprand","n":"64"})",
+      R"({"family":"sprand","n":64,"nodes":64})",
+      R"({"family":"circuit","n":64,"fanout":2})",
+      R"({"family":"ring","n":8,"wmin":10,"wmax":1})",
+      R"({"family":"sprand","n":4,"tmin":1,"tmax":4294967297})",  // 2^32 + 1
+      R"({"family":"hexagon","n":8})",
+      R"({"n":8})",
+      R"(5)",
+  };
+  for (const char* spec : rejected) {
+    const json::Value r = client.request(solve_gen(spec));
+    EXPECT_EQ(r.string_or("code", ""), "BAD_REQUEST") << spec;
+  }
+  const json::Value fanout = client.request(solve_gen(R"({"family":"circuit","fanout":2})"));
+  EXPECT_NE(fanout.string_or("message", "").find("accepted keys: family, n, module, seed"),
+            std::string::npos)
+      << fanout.string_or("message", "");
+  EXPECT_EQ(counter_value(server, "mcr_graph_loads_total"), 0u);
+
+  // The edges of the accepted ranges. LOAD, not SOLVE: Howard's int64
+  // arithmetic does not cover weights near the int64 limits.
+  for (const char* spec :
+       {R"({"family":"sprand","n":8,"seed":9007199254740992})",
+        R"({"family":"ring","n":8,"wmin":-9223372036854775808,"wmax":9223372036854774784})",
+        R"({"family":"sprand","n":8,"tmin":-4294967296,"tmax":4294967296})",
+        R"({"family":"circuit","n":40,"module":8,"seed":0})"}) {
+    const json::Value r =
+        client.request(std::string(R"({"verb":"LOAD","generator":)") + spec + "}");
+    EXPECT_EQ(r.string_or("status", ""), "ok") << spec;
+  }
+  server.stop_and_drain();
+}
+
+// Runs under TSan in CI: four connections hammer one hot key and eight
+// keys cycling through a four-entry registry, so aliases are attached,
+// hit and evicted concurrently. Every answer must name its own graph.
+TEST(SvcGraphSource, ConcurrentHammerOnOneKeyAndEightKeys) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  so.graph_entries = 4;
+  svc::Server server(so);
+  server.start();
+
+  constexpr std::uint64_t kKeys = 8;
+  constexpr int kThreads = 4;
+  constexpr int kRequests = 40;
+  std::vector<std::string> expected;
+  for (std::uint64_t seed = 0; seed <= kKeys; ++seed) {
+    expected.push_back(local_sprand_fp(32, 64, seed));
+  }
+  std::atomic<int> wrong{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+      Prng rng(static_cast<std::uint64_t>(t) + 1);
+      for (int i = 0; i < kRequests; ++i) {
+        // Seed 0 is the hot key; seeds 1..8 churn the registry.
+        const std::uint64_t seed =
+            i % 2 == 0 ? 0 : static_cast<std::uint64_t>(rng.uniform_int(1, kKeys));
+        const json::Value r = client.request(
+            solve_gen(R"({"family":"sprand","n":32,"seed":)" + std::to_string(seed) + "}"));
+        if (r.string_or("status", "") != "ok") {
+          ++failed;
+        } else if (r.at("fingerprint").as_string() != expected[seed]) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(counter_value(server, "mcr_graph_alias_hits_total") +
+                counter_value(server, "mcr_graph_alias_misses_total"),
+            static_cast<std::uint64_t>(kThreads * kRequests));
+  EXPECT_GT(counter_value(server, "mcr_graph_alias_hits_total"), 0u);
+  EXPECT_LE(server.graphs().size(), 4u);
+  server.stop_and_drain();
 }
 
 }  // namespace

@@ -399,6 +399,42 @@ TEST(ToolsE2E, LoadHarnessAgreesWithServerWindowedPercentiles) {
   fs::remove_all(dir);
 }
 
+// Two back-to-back all-cold mcr_load runs with the same --seed against
+// one daemon: the cold seeds are salted per run, so the second run's
+// cold requests miss the cache too and both reports are valid.
+TEST(ToolsE2E, BackToBackLoadRunsStayCold) {
+  namespace fs = std::filesystem;
+  const auto dir =
+      fs::temp_directory_path() / ("mcr_e2e_cold." + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string sock = (dir / "mcr.sock").string();
+  const std::string log = (dir / "serve.log").string();
+  const pid_t server = spawn_tool({tool("mcr_serve"), "--socket", sock}, log);
+  ASSERT_GT(server, 0);
+  ASSERT_TRUE(wait_for_ping(sock)) << slurp(log);
+
+  for (int run_index = 0; run_index < 2; ++run_index) {
+    const std::string report_path =
+        (dir / ("load." + std::to_string(run_index) + ".json")).string();
+    const auto load = run(tool("mcr_load") + " --socket " + sock +
+                          " --concurrency 2 --requests 30 --mix solve=100"
+                          " --cold-pct 100 --graph-n 64 --seed 7 --strict --output " +
+                          report_path);
+    ASSERT_EQ(load.exit_code, 0) << load.stdout_text;
+    const mcr::json::Value report = mcr::json::parse(slurp(report_path));
+    EXPECT_TRUE(report.at("valid").as_bool()) << run_index;
+    EXPECT_EQ(report.at("validity_errors").number_or("cold_cached", -1.0), 0.0) << run_index;
+    EXPECT_EQ(report.at("cache").number_or("hits", -1.0), 0.0) << run_index;
+    EXPECT_EQ(report.at("cache").number_or("misses", 0.0), 30.0) << run_index;
+  }
+
+  ASSERT_EQ(::kill(server, SIGTERM), 0);
+  int status = -1;
+  ASSERT_EQ(::waitpid(server, &status, 0), server);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Flag tables: every tool rejects flags it does not declare.
 

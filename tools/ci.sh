@@ -10,7 +10,9 @@
 # observability smoke: mcr_serve with the flight recorder pinning
 # everything and a JSONL request log, a solve tagged with a known trace
 # id, the TRACE payload fetched back by that id and json.tool-validated,
-# and every request-log line parsed as JSON, and a live-daemon load
+# every request-log line parsed as JSON, and a repeated generator SOLVE
+# answered through the graph registry's source alias (STATS shows
+# mcr_graph_alias_hits_total == 1), and a live-daemon load
 # smoke: mcr_serve with the windowed-telemetry pump on, a closed-loop
 # mixed-verb mcr_load run with a nonzero cold fraction, gated on zero
 # transport errors plus json.tool-valid report and stats JSONL
@@ -75,7 +77,8 @@ obs_smoke() {
 # request trace) and full-detail sampling, driven by mcr_query. The
 # solve's caller-chosen trace id must locate its trace via the TRACE
 # verb, the fetched payload must be loadable JSON, and the structured
-# request log must be one parseable JSON object per line. $1 = build dir.
+# request log must be one parseable JSON object per line. The same
+# generator SOLVE sent twice must count exactly one alias hit. $1 = build dir.
 svc_obs_smoke() {
   local bdir="$1"
   local tmp
@@ -95,6 +98,17 @@ svc_obs_smoke() {
   run python3 -m json.tool "$tmp/trace_fetch.json" > /dev/null
   grep -q ci-smoke-trace "$tmp/trace_fetch.json"
   run "$bdir/tools/mcr_query" --socket "$sock" stats > /dev/null
+  # Alias memo: the same generator SOLVE twice resolves the second
+  # through its source alias, without rebuilding the graph.
+  local gen_solve='{"verb":"SOLVE","generator":{"family":"sprand","n":256,"seed":5}}'
+  run "$bdir/tools/mcr_query" --socket "$sock" raw "$gen_solve" > /dev/null
+  run "$bdir/tools/mcr_query" --socket "$sock" raw "$gen_solve" > /dev/null
+  run "$bdir/tools/mcr_query" --socket "$sock" stats --json > "$tmp/stats.json"
+  python3 - "$tmp/stats.json" <<'PY'
+import json, sys
+counters = json.load(open(sys.argv[1]))["metrics"]["counters"]
+assert counters.get("mcr_graph_alias_hits_total") == 1, counters
+PY
   kill -TERM "$server_pid"
   wait "$server_pid"
   [[ -s "$tmp/requests.jsonl" ]]

@@ -34,9 +34,13 @@
 //   --cold-pct P     percent of SOLVEs forced cold: each cold request
 //                    carries a never-repeated generator seed, so its
 //                    fingerprint misses the result cache and the solve
-//                    runs for real. Warm SOLVEs rotate a small pool of
-//                    fixed seeds (first hit per seed is cold, the rest
-//                    replay from cache).
+//                    runs for real. Cold seeds are salted per run from
+//                    --seed and a per-run nonce, so a second run against
+//                    the same daemon is cold too; a cold request whose
+//                    first attempt comes back cached:true is counted as
+//                    a validity error. Warm SOLVEs rotate a small pool
+//                    of fixed seeds (first hit per seed is cold, the
+//                    rest replay from cache).
 //   --ramp           phases of RPS:SECONDS stepping the offered rate,
 //                    e.g. 200:10,500:10,1000:10 for a three-step ramp
 //   --target SPEC    endpoint to drive: unix:PATH, HOST:PORT, or PORT.
@@ -55,11 +59,14 @@
 // Exit status: 0 = run completed with zero transport errors; 1 = at
 // least one transport error (or a fatal setup failure); 2 = usage.
 // --strict widens the failure condition: any *service* error (a non-ok
-// protocol response) also exits 1, so CI can assert a clean run.
+// protocol response) or validity error also exits 1, so CI can assert a
+// clean run.
 // Retryable error codes (BUSY, UPSTREAM_UNAVAILABLE, ...) on
 // idempotent verbs are retried up to twice before counting as errors —
 // the client half of the errors.h retry contract — and the retry count
 // is reported so flakiness stays visible even when absorbed.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -77,6 +84,7 @@
 
 #include "cli.h"
 #include "obs/build_info.h"
+#include "support/hash.h"
 #include "support/prng.h"
 #include "svc/client.h"
 #include "svc/errors.h"
@@ -232,6 +240,7 @@ struct WorkerStats {
   std::uint64_t retries = 0;  // retryable-code retries that were issued
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  std::uint64_t cold_cached = 0;  // validity errors: cold, yet a cache hit
 };
 
 struct LoadConfig {
@@ -259,8 +268,19 @@ mcr::svc::Client connect(const LoadConfig& cfg, std::size_t worker_index) {
 
 /// Cold seeds must never repeat across the whole run (any repeat would
 /// silently warm the cache), so they come from one process-wide counter
-/// well away from the warm pool.
-std::atomic<std::uint64_t> g_cold_seed{1u << 20};
+/// well away from the warm pool, starting at cold_seed_base().
+std::atomic<std::uint64_t> g_cold_seed{0};
+
+/// First cold seed of a run: salted by --seed and a per-run nonce, so
+/// runs never replay each other's cold graphs. Seeds stay below 2^53,
+/// the largest the service accepts, for any run of under 2^52 requests.
+std::uint64_t cold_seed_base(std::uint64_t seed) {
+  const std::uint64_t nonce =
+      static_cast<std::uint64_t>(Clock::now().time_since_epoch().count()) ^
+      (static_cast<std::uint64_t>(::getpid()) << 32);
+  const std::uint64_t salt = mcr::splitmix64(mcr::splitmix64(seed) ^ nonce);
+  return (std::uint64_t{1} << 20) + (salt >> 12);  // + [0, 2^52)
+}
 
 /// RELOAD rotates through --reload-paths process-wide, not per worker,
 /// so a two-path A,B rotation really alternates generations even when
@@ -293,8 +313,9 @@ void issue_one(mcr::svc::Client& client, const LoadConfig& cfg, Prng& prng,
     }
   }
   std::string payload;
+  bool cold = false;
   if (verb == "solve") {
-    const bool cold = prng.uniform_real() * 100.0 < cfg.cold_pct;
+    cold = prng.uniform_real() * 100.0 < cfg.cold_pct;
     const std::uint64_t seed =
         cold ? g_cold_seed.fetch_add(1)
              : 1 + static_cast<std::uint64_t>(
@@ -340,6 +361,9 @@ void issue_one(mcr::svc::Client& client, const LoadConfig& cfg, Prng& prng,
         if (resp.has("cached")) {
           if (resp.at("cached").as_bool()) {
             ++stats.cache_hits;
+            // A retry may find its own earlier attempt's result; only a
+            // first attempt proves the seed was not cold.
+            if (cold && attempt == 1) ++stats.cold_cached;
           } else {
             ++stats.cache_misses;
           }
@@ -494,6 +518,7 @@ int main(int argc, char** argv) {
     }
     cfg.graph_n = opt.get_int_in("graph-n", 128, 2, 1 << 20);
     cfg.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+    g_cold_seed = cold_seed_base(cfg.seed);
     cfg.strict = opt.has("strict");
     cfg.reload_paths = cli::split_csv(opt.get("reload-paths"));
 
@@ -547,6 +572,7 @@ int main(int argc, char** argv) {
       total.retries += w.retries;
       total.cache_hits += w.cache_hits;
       total.cache_misses += w.cache_misses;
+      total.cold_cached += w.cold_cached;
     }
     std::sort(total.latencies_ms.begin(), total.latencies_ms.end());
     const auto p50 = sample_percentile(total.latencies_ms, 0.50);
@@ -586,6 +612,10 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n  cache: " << total.cache_hits << " hits, "
               << total.cache_misses << " misses\n";
+    if (total.cold_cached != 0) {
+      std::cout << "  INVALID: " << total.cold_cached
+                << " cold requests came back cached:true\n";
+    }
     if (!total.errors.empty()) {
       std::cout << "  errors:";
       for (const auto& [code, n] : total.errors) {
@@ -646,7 +676,11 @@ int main(int argc, char** argv) {
       out += "},\"transport_errors\":" + std::to_string(total.transport_errors);
       out += ",\"retries\":" + std::to_string(total.retries);
       out += ",\"cache\":{\"hits\":" + std::to_string(total.cache_hits);
-      out += ",\"misses\":" + std::to_string(total.cache_misses) + "}}";
+      out += ",\"misses\":" + std::to_string(total.cache_misses) + "}";
+      out += ",\"valid\":";
+      out += total.cold_cached == 0 ? "true" : "false";
+      out += ",\"validity_errors\":{\"cold_cached\":" +
+             std::to_string(total.cold_cached) + "}}";
       std::ofstream f(opt.get("output"));
       if (!f) {
         std::cerr << "mcr_load: cannot write " << opt.get("output") << "\n";
@@ -659,6 +693,11 @@ int main(int argc, char** argv) {
     if (cfg.strict && error_total != 0) {
       std::cerr << "mcr_load: --strict and " << error_total
                 << " service errors\n";
+      return 1;
+    }
+    if (cfg.strict && total.cold_cached != 0) {
+      std::cerr << "mcr_load: --strict and " << total.cold_cached
+                << " cold requests served from cache\n";
       return 1;
     }
     return 0;
