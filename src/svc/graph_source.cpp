@@ -191,6 +191,9 @@ Graph GraphSource::build() const {
     }
     case Kind::kPath: return load_dimacs(ref);
     case Kind::kGenerator: return find_family(family).make(fields);
+    case Kind::kNone:
+      throw std::invalid_argument(
+          "no graph source (expected one of fingerprint | dimacs | path | generator)");
     case Kind::kFingerprint: break;
   }
   throw std::logic_error("GraphSource::build: a fingerprint names a resident graph");
@@ -210,9 +213,6 @@ GraphSource parse_graph_source(const json::Value& request) {
   } else if (request.has("generator")) {
     src.kind = GraphSource::Kind::kGenerator;
     parse_generator(request.at("generator"), src);
-  } else {
-    throw std::invalid_argument(
-        "no graph source (expected one of fingerprint | dimacs | path | generator)");
   }
   return src;
 }

@@ -2,7 +2,9 @@
 //
 // A request names its graph in one of four ways: a resident
 // "fingerprint", inline "dimacs" text, a server-side "path", or a
-// "generator" spec. parse_graph_source() validates the source and, for
+// "generator" spec. The worker resolves its graph from this parse and
+// mcr_router routes by it, so both tiers read one request as naming
+// one graph. parse_graph_source() validates the source and, for
 // the sources whose content is fixed by the request itself, derives an
 // alias key: the GraphRegistry memoizes a built graph under that key,
 // so a repeated source skips regenerate/parse + CSR + fingerprint.
@@ -36,8 +38,9 @@ class Value;
 namespace mcr::svc {
 
 struct GraphSource {
-  enum class Kind { kFingerprint, kDimacs, kPath, kGenerator };
-  Kind kind = Kind::kFingerprint;
+  /// kNone: the request names no graph.
+  enum class Kind { kNone, kFingerprint, kDimacs, kPath, kGenerator };
+  Kind kind = Kind::kNone;
   /// kFingerprint: the fingerprint hex. kPath: the file path.
   std::string ref;
   /// Registry alias key; empty for kFingerprint and kPath (never
@@ -49,13 +52,15 @@ struct GraphSource {
   std::vector<std::int64_t> fields;
 
   /// Parses, reads or generates the graph (kDimacs, kPath, kGenerator).
-  /// Throws std::runtime_error / std::invalid_argument on bad input.
+  /// Throws std::runtime_error / std::invalid_argument on bad input, and
+  /// std::invalid_argument ("no graph source ...") for kNone.
   [[nodiscard]] Graph build() const;
 };
 
 /// Reads the request's graph source, in precedence order fingerprint >
-/// dimacs > path > generator. Throws std::invalid_argument when there is
-/// none or the generator spec is not strictly valid.
+/// dimacs > path > generator; kNone when the request names none. Throws
+/// when a named source is malformed (a non-string fingerprint, dimacs or
+/// path, or a generator spec that is not strictly valid).
 [[nodiscard]] GraphSource parse_graph_source(const json::Value& request);
 
 }  // namespace mcr::svc

@@ -34,15 +34,6 @@ std::int64_t steady_ms() {
 /// last_activity_ms while a request is being handled: never idle.
 constexpr std::int64_t kBusy = std::numeric_limits<std::int64_t>::max();
 
-/// `q`-th percentile of a windowed snapshot in milliseconds, or "null"
-/// when the window holds no observations (never NaN on the wire).
-std::string window_quantile_ms_json(
-    const obs::SlidingWindowHistogram::Snapshot& s, double q) {
-  const auto v = obs::histogram_quantile(
-      s.bounds, obs::SlidingWindowHistogram::cumulative_counts(s), s.count, q);
-  return v.has_value() ? fmt_json_double(*v * 1000.0) : "null";
-}
-
 }  // namespace
 
 // --- FrameListener -------------------------------------------------------
@@ -313,6 +304,18 @@ std::string fmt_json_double(double v) {
   std::ostringstream os;
   os << v;
   return os.str();
+}
+
+std::string window_quantile_ms_json(const obs::SlidingWindowHistogram::Snapshot& s,
+                                    double q) {
+  const auto v = obs::histogram_quantile(
+      s.bounds, obs::SlidingWindowHistogram::cumulative_counts(s), s.count, q);
+  return v.has_value() ? fmt_json_double(*v * 1000.0) : "null";
+}
+
+std::string stats_tail(const obs::MetricsRegistry& metrics) {
+  return ",\"metrics\":" + metrics.json() + ",\"prometheus\":\"" +
+         json_escape(metrics.prometheus_text()) + "\"}";
 }
 
 RequestMeter::RequestMeter(obs::MetricsRegistry& metrics, double window_seconds,

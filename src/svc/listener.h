@@ -134,9 +134,17 @@ class FrameListener {
 [[nodiscard]] const std::vector<double>& request_seconds_bounds();
 
 /// `std::ostream` text of a double (six significant digits) for
-/// hand-built JSON. The router's routing keys embed it, so it must not
-/// change.
+/// hand-built JSON.
 [[nodiscard]] std::string fmt_json_double(double v);
+
+/// `q`-th percentile of a windowed snapshot in milliseconds, or "null"
+/// when the window holds no observations (never NaN on the wire).
+[[nodiscard]] std::string window_quantile_ms_json(
+    const obs::SlidingWindowHistogram::Snapshot& s, double q);
+
+/// `,"metrics":{..},"prometheus":"<text>"}`, closing both daemons' STATS.
+/// "prometheus" stays LAST: clients cut it out by suffix (docs/SERVICE.md).
+[[nodiscard]] std::string stats_tail(const obs::MetricsRegistry& metrics);
 
 class RequestMeter {
  public:

@@ -115,6 +115,10 @@ inline constexpr std::size_t kMaxTraceIdBytes = 64;
 /// else is rejected (the server then answers BAD_REQUEST rather than
 /// echoing attacker-shaped bytes into logs and exports).
 [[nodiscard]] bool is_valid_trace_id(std::string_view id);
+/// The BAD_REQUEST message for a trace id is_valid_trace_id() rejects;
+/// mcr_serve and mcr_router answer with this one text.
+inline constexpr const char* kInvalidTraceIdMessage =
+    "invalid trace_id (expected 1..64 characters from [0-9a-zA-Z_-])";
 
 /// Splices `"<key>":"<value>",` immediately after the opening '{' of a
 /// serialized JSON object, keeping the object's existing field order —

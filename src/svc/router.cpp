@@ -6,10 +6,10 @@
 #include <utility>
 
 #include "graph/fingerprint.h"
-#include "graph/io.h"
 #include "obs/build_info.h"
 #include "support/hash.h"
 #include "support/json.h"
+#include "svc/graph_source.h"
 
 namespace mcr::svc {
 
@@ -27,35 +27,33 @@ double uniform(std::uint64_t& state, double lo, double hi) {
   return lo + u * (hi - lo);
 }
 
-/// Canonical text for one scalar JSON value inside a routing key.
-/// Logically-equal specs serialize identically (Object is a sorted map,
-/// numbers go through one formatter).
-void append_canonical(std::string& out, const json::Value& v) {
-  if (v.is_string()) {
-    out += v.as_string();
-  } else if (v.is_number()) {
-    const double d = v.as_double();
-    const auto ll = static_cast<long long>(d);
-    if (static_cast<double>(ll) == d) {
-      out += std::to_string(ll);
-    } else {
-      out += fmt_json_double(d);
-    }
-  } else if (v.is_bool()) {
-    out += v.as_bool() ? "true" : "false";
-  } else if (v.is_object()) {
-    for (const auto& [k, val] : v.as_object()) {
-      out += k;
-      out += '=';
-      append_canonical(out, val);
-      out += ';';
-    }
-  } else if (v.is_array()) {
-    for (const auto& e : v.as_array()) {
-      append_canonical(out, e);
-      out += ',';
-    }
+/// The graph a request names, read by the worker's own parser. Only
+/// LOAD and SOLVE resolve a graph on a worker; other verbs name none,
+/// whatever fields they carry.
+GraphSource routed_source(const json::Value& request) {
+  const std::string verb = request.string_or("verb", "");
+  return verb == "LOAD" || verb == "SOLVE" ? parse_graph_source(request) : GraphSource{};
+}
+
+std::string routing_key(const GraphSource& source) {
+  switch (source.kind) {
+    case GraphSource::Kind::kNone: return "";
+    case GraphSource::Kind::kFingerprint: return "fp:" + source.ref;
+    case GraphSource::Kind::kGenerator: return source.alias_key;
+    case GraphSource::Kind::kDimacs:
+    case GraphSource::Kind::kPath:
+      // Inline text and files route by the *graph's* content fingerprint
+      // — the identity the worker mints on LOAD — so a later
+      // fingerprint-addressed SOLVE lands on the replica set that holds
+      // the graph. A source that does not build keeps a stable raw-source
+      // key and a worker owns the BAD_REQUEST.
+      try {
+        return "fp:" + fingerprint_hex(source.build());
+      } catch (const std::exception&) {
+        return source.alias_key.empty() ? "file:" + source.ref : source.alias_key;
+      }
   }
+  return "";
 }
 
 const char* breaker_state_name(CircuitBreaker::State s) {
@@ -299,7 +297,7 @@ std::string Router::handle_request(const std::string& payload) {
     if (verb.empty()) throw std::invalid_argument("missing \"verb\"");
     trace_id = request.string_or("trace_id", "");
     if (!trace_id.empty() && !is_valid_trace_id(trace_id)) {
-      throw std::invalid_argument("invalid trace_id (1-64 chars of [0-9a-zA-Z_-])");
+      throw std::invalid_argument(kInvalidTraceIdMessage);
     }
     const bool client_traced = !trace_id.empty();
     if (trace_id.empty()) trace_id = generate_trace_id();
@@ -334,35 +332,7 @@ std::string Router::handle_request(const std::string& payload) {
 }
 
 std::string Router::routing_key_for(const json::Value& request) {
-  if (request.has("fingerprint") && request.at("fingerprint").is_string()) {
-    return "fp:" + request.at("fingerprint").as_string();
-  }
-  if (request.has("generator")) {
-    std::string key = "gen:";
-    append_canonical(key, request.at("generator"));
-    return key;
-  }
-  // DIMACS sources route by the *graph's* content fingerprint — the
-  // same identity the worker will mint on LOAD — so a later
-  // fingerprint-addressed SOLVE lands on the replica set that holds the
-  // graph. Parsing here costs one extra pass; a malformed source falls
-  // back to a content-hash key and lets a worker own the BAD_REQUEST.
-  if (request.has("dimacs") && request.at("dimacs").is_string()) {
-    try {
-      std::istringstream is(request.at("dimacs").as_string());
-      return "fp:" + fingerprint_hex(read_dimacs(is));
-    } catch (const std::exception&) {
-      return "dimacs:" + std::to_string(hash_bytes(request.at("dimacs").as_string()));
-    }
-  }
-  if (request.has("path") && request.at("path").is_string()) {
-    try {
-      return "fp:" + fingerprint_hex(load_dimacs(request.at("path").as_string()));
-    } catch (const std::exception&) {
-      return "path:" + request.at("path").as_string();
-    }
-  }
-  return "";
+  return routing_key(routed_source(request));
 }
 
 std::vector<std::size_t> Router::replica_indices(std::string_view key) const {
@@ -383,7 +353,8 @@ std::vector<std::size_t> Router::replica_indices(std::string_view key) const {
 
 std::vector<std::size_t> Router::candidate_order(const json::Value& request,
                                                  const std::string& verb) {
-  const std::string key = routing_key_for(request);
+  const GraphSource source = routed_source(request);
+  const std::string key = routing_key(source);
   if (key.empty()) {
     // No affinity: rotate the whole fleet round-robin.
     std::vector<std::size_t> order(backends_.size());
@@ -398,7 +369,8 @@ std::vector<std::size_t> Router::candidate_order(const json::Value& request,
   // regenerates the graph anywhere, and spreading keeps the hot graph
   // resident on all R workers). Fingerprint-addressed SOLVEs go
   // primary-first: only workers that saw the LOAD hold the graph.
-  if (verb == "SOLVE" && request.has("generator") && replicas.size() > 1) {
+  if (verb == "SOLVE" && source.kind == GraphSource::Kind::kGenerator &&
+      replicas.size() > 1) {
     std::rotate(replicas.begin(),
                 replicas.begin() + static_cast<std::ptrdiff_t>(
                                        replica_spread_.fetch_add(1) % replicas.size()),
@@ -706,37 +678,18 @@ std::string Router::handle_stats(const json::Value& request) {
      << std::min(options_.replicas, backends_.size())
      << ",\"window_seconds\":" << fmt_json_double(options_.stats_window_s)
      << ",\"backends\":[";
-  for (std::size_t i = 0; i < backends_.size(); ++i) {
-    Backend& b = *backends_[i];
+  const std::vector<BackendSnapshot> snapshots = backend_snapshots();
+  for (std::size_t i = 0; i < snapshots.size(); ++i) {
+    const BackendSnapshot& s = snapshots[i];
     if (i > 0) os << ',';
-    bool up = false;
-    bool draining = false;
-    CircuitBreaker::State state = CircuitBreaker::State::kClosed;
-    {
-      std::lock_guard lock(b.mutex);
-      up = b.up;
-      draining = b.draining;
-      state = b.breaker.state();
-    }
-    const auto snap = b.latency_window->snapshot();
-    const auto cumulative = obs::SlidingWindowHistogram::cumulative_counts(snap);
-    os << "{\"name\":\"" << json_escape(b.address.name) << "\",\"up\":"
-       << (up ? "true" : "false") << ",\"draining\":" << (draining ? "true" : "false")
-       << ",\"breaker\":\"" << breaker_state_name(state) << "\",\"requests\":"
-       << b.requests_total->value() << ",\"failures\":" << b.failures_total->value();
-    for (const auto& [label, q] :
-         {std::pair<const char*, double>{"p50_ms", 0.50},
-          std::pair<const char*, double>{"p95_ms", 0.95},
-          std::pair<const char*, double>{"p99_ms", 0.99}}) {
-      const auto v = obs::histogram_quantile(snap.bounds, cumulative, snap.count, q);
-      os << ",\"" << label << "\":";
-      if (v.has_value()) {
-        os << fmt_json_double(*v * 1000.0);
-      } else {
-        os << "null";
-      }
-    }
-    os << '}';
+    const auto window = backends_[i]->latency_window->snapshot();
+    os << "{\"name\":\"" << json_escape(s.name) << "\",\"up\":"
+       << (s.up ? "true" : "false") << ",\"draining\":" << (s.draining ? "true" : "false")
+       << ",\"breaker\":\"" << breaker_state_name(s.breaker) << "\",\"requests\":"
+       << s.requests << ",\"failures\":" << s.failures
+       << ",\"p50_ms\":" << window_quantile_ms_json(window, 0.50)
+       << ",\"p95_ms\":" << window_quantile_ms_json(window, 0.95)
+       << ",\"p99_ms\":" << window_quantile_ms_json(window, 0.99) << '}';
   }
   os << ']';
   // {"fanout":true} additionally embeds each reachable worker's own
@@ -767,20 +720,16 @@ std::string Router::handle_stats(const json::Value& request) {
     }
     os << '}';
   }
-  // "prometheus" stays the last field: clients cut it out by suffix,
-  // exactly as with the worker's own STATS.
-  os << ",\"metrics\":" << metrics_.json() << ",\"prometheus\":\""
-     << json_escape(metrics_.prometheus_text()) << "\"}";
+  os << stats_tail(metrics_);
   return os.str();
 }
 
 std::string Router::handle_health() {
   std::size_t up = 0;
   std::size_t draining = 0;
-  for (const auto& bp : backends_) {
-    std::lock_guard lock(bp->mutex);
-    if (bp->up) ++up;
-    if (bp->draining) ++draining;
+  for (const BackendSnapshot& s : backend_snapshots()) {
+    up += s.up ? 1 : 0;
+    draining += s.draining ? 1 : 0;
   }
   const bool healthy = up > 0 && running_.load();
   std::ostringstream os;

@@ -3,20 +3,20 @@
 //
 // Topology: clients connect to the router exactly as they would to a
 // single mcr_serve; the router consistent-hash-shards each request by
-// its graph fingerprint across a static worker list, with replication
-// factor R so hot graphs are resident on R workers. Requests that
-// carry no fingerprint (PING, SOLVERS, TRACE) rotate round-robin;
-// STATS and HEALTH are answered by the router itself (STATS can fan
-// out, see below).
+// the graph it names across a static worker list, with replication
+// factor R so hot graphs are resident on R workers. Requests that name
+// no graph (PING, SOLVERS, TRACE) rotate round-robin; STATS and HEALTH
+// are answered by the router itself (STATS can fan out, see below).
 //
-// Routing key:
-//  - SOLVE {"fingerprint": ...}   -> the declared fingerprint
-//  - SOLVE/LOAD {"generator":...} -> canonical form of the spec (same
-//    spec => same key => same replica set, so the worker-side result
-//    cache and single-flight machinery keep working across the tier)
-//  - LOAD {"dimacs"/"path": ...}  -> the graph's content fingerprint
-//    (the router parses the source, so LOAD and the SOLVEs that follow
-//    it agree on the replica set)
+// Routing key: a LOAD's or SOLVE's graph source, read by the worker's
+// own parser (svc/graph_source.h) so both tiers agree on the graph:
+//  - fingerprint -> the declared fingerprint
+//  - generator   -> the worker's alias key (defaults applied: every
+//    spelling of one spec shares a replica set and its alias memo)
+//  - dimacs/path -> the built graph's content fingerprint, so LOAD and
+//    the fingerprint SOLVEs after it agree on the replica set (a source
+//    that does not build keeps a raw-source key; a worker owns the error)
+// A malformed source is answered BAD_REQUEST by the router itself.
 // The key picks R consecutive distinct workers clockwise on a hashed
 // ring with virtual nodes; LOAD fans out to all R replicas so a later
 // fingerprint-addressed SOLVE can be served by any of them.
@@ -201,7 +201,8 @@ class Router {
   /// Replica set (backend indices, primary first) for a routing key —
   /// exposed for ring property tests.
   [[nodiscard]] std::vector<std::size_t> replica_indices(std::string_view key) const;
-  /// Routing key for a parsed request payload; "" = no affinity.
+  /// Routing key for a parsed request payload; "" = no affinity. Throws
+  /// (the worker's BAD_REQUEST text) when a LOAD/SOLVE source is malformed.
   [[nodiscard]] static std::string routing_key_for(const json::Value& request);
 
  private:

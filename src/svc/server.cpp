@@ -197,9 +197,7 @@ std::string Server::handle_request(const std::string& payload) {
       ctx.parent_span.resize(kMaxTraceIdBytes);
     }
     if (!wire_id.empty() && !is_valid_trace_id(wire_id)) {
-      throw RequestError(kErrBadRequest,
-                         "invalid trace_id (expected 1..64 characters from "
-                         "[0-9a-zA-Z_-])");
+      throw RequestError(kErrBadRequest, kInvalidTraceIdMessage);
     }
     ctx.trace_id = wire_id.empty() ? generate_trace_id() : wire_id;
     ctx.trace = flight_.begin(ctx.trace_id, ctx.verb, ctx.parent_span);
@@ -365,8 +363,9 @@ GraphRegistry::Resident Server::resolve_graph(const json::Value& req,
       return hit;
     }
   }
+  Graph built = source.build();  // throws on a malformed or absent source
   ctx.resolve = "built";
-  return graphs_.add(source.build(), source.alias_key);
+  return graphs_.add(std::move(built), source.alias_key);
 }
 
 std::string Server::handle_load(const json::Value& req, RequestContext& ctx) {
@@ -414,13 +413,7 @@ std::string Server::handle_stats(const json::Value& req) const {
     out += ",\"window\":";
     out += meter_.window_json();
   }
-  out += ",\"metrics\":";
-  out += metrics_.json();
-  // "prometheus" must stay the LAST field: clients cut the escaped text
-  // out of the response by suffix (see docs/SERVICE.md).
-  out += ",\"prometheus\":\"";
-  out += json_escape(metrics_.prometheus_text());
-  out += "\"}";
+  out += stats_tail(metrics_);
   return out;
 }
 

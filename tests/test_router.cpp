@@ -231,16 +231,16 @@ TEST(RoutingKey, DeclaredFingerprintWinsAndGeneratorSpecIsCanonical) {
   // Logically-equal specs produce the same key regardless of the JSON
   // text's key order or number spelling (1e3 == 1000).
   const json::Value spec_a = json::parse(
-      R"({"verb":"SOLVE","generator":{"family":"sprand","nodes":1000,"seed":7}})");
+      R"({"verb":"SOLVE","generator":{"family":"sprand","n":1000,"seed":7}})");
   const json::Value spec_b = json::parse(
-      R"({"verb":"SOLVE","generator":{"seed":7,"nodes":1e3,"family":"sprand"}})");
+      R"({"verb":"SOLVE","generator":{"seed":7,"n":1e3,"family":"sprand"}})");
   const std::string key_a = svc::Router::routing_key_for(spec_a);
   EXPECT_EQ(key_a, svc::Router::routing_key_for(spec_b));
   EXPECT_EQ(key_a.rfind("gen:", 0), 0u);
 
   // A different spec is a different key.
   const json::Value spec_c = json::parse(
-      R"({"verb":"SOLVE","generator":{"seed":8,"nodes":1000,"family":"sprand"}})");
+      R"({"verb":"SOLVE","generator":{"seed":8,"n":1000,"family":"sprand"}})");
   EXPECT_NE(key_a, svc::Router::routing_key_for(spec_c));
 
   EXPECT_EQ(svc::Router::routing_key_for(json::parse(R"({"verb":"PING"})")), "");
@@ -577,6 +577,131 @@ TEST(RouterFleet, DrainingWorkerGetsNoNewRequests) {
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(client.solve(fp).string_or("status", ""), "ok");
   }
+}
+
+/// A one-replica fleet: every routing key names exactly one worker.
+svc::RouterOptions one_replica() {
+  svc::RouterOptions ro;
+  ro.replicas = 1;
+  return ro;
+}
+
+TEST(RouterFleet, SpellingsOfOneGeneratorGraphAreBuiltOnceFleetWide) {
+  Fleet fleet(3, one_replica());
+  svc::Client client = fleet.client();
+  const auto counters = [&](const std::string& name) {
+    std::vector<std::uint64_t> out;
+    for (const auto& w : fleet.workers) out.push_back(w->metrics().counter(name).value());
+    return out;
+  };
+  // Several graphs, so a router that keyed spellings apart could not
+  // pass by the luck of one ring layout.
+  for (const int n : {64, 96, 128, 160}) {
+    const std::string sn = std::to_string(n);
+    const std::string sm = std::to_string(2 * n);
+    // Three spellings the worker reads as one graph: bare, explicit m,
+    // and every default written out.
+    const std::string spellings[] = {
+        R"({"family":"sprand","n":)" + sn + "}",
+        R"({"family":"sprand","n":)" + sn + R"(,"m":)" + sm + "}",
+        R"({"family":"sprand","seed":1,"tmax":1,"tmin":1,"wmax":10000,"wmin":1,"m":)" + sm +
+            R"(,"n":)" + sn + "}",
+    };
+    const auto loads_before = counters("mcr_graph_loads_total");
+    const auto hits_before = counters("mcr_graph_alias_hits_total");
+    std::string fp;
+    for (const std::string& spec : spellings) {
+      const json::Value r = client.request(R"({"verb":"SOLVE","generator":)" + spec + "}");
+      ASSERT_EQ(r.string_or("status", ""), "ok") << spec;
+      if (fp.empty()) fp = r.string_or("fingerprint", "");
+      EXPECT_EQ(r.string_or("fingerprint", ""), fp) << spec;
+    }
+    const auto loads = counters("mcr_graph_loads_total");
+    const auto hits = counters("mcr_graph_alias_hits_total");
+    std::size_t builders = 0;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+      const std::uint64_t built = loads[i] - loads_before[i];
+      const std::uint64_t aliased = hits[i] - hits_before[i];
+      // One worker builds the graph and serves the other two spellings
+      // from its alias memo; the rest never see it.
+      EXPECT_EQ(aliased, 2 * built) << "n=" << n << " worker " << i;
+      builders += built;
+    }
+    EXPECT_EQ(builders, 1u) << "n=" << n;
+  }
+}
+
+TEST(RouterFleet, LoadNamingDimacsAndGeneratorRoutesByTheGraphTheWorkerLoads) {
+  Fleet fleet(3, one_replica());
+  svc::Client client = fleet.client();
+  const Graph g = make_ring(20, 7);
+  const std::string fp = fingerprint_hex(g);
+  const auto fp_owner = fleet.router->replica_indices("fp:" + fp);
+  ASSERT_EQ(fp_owner.size(), 1u);
+  // Pick a generator spec whose own route lands on another worker, so
+  // routing by it would strand the DIMACS graph the worker loads.
+  std::string spec;
+  for (int seed = 1; seed < 64 && spec.empty(); ++seed) {
+    const std::string candidate =
+        R"({"family":"ring","n":8,"seed":)" + std::to_string(seed) + "}";
+    const std::string key = svc::Router::routing_key_for(
+        json::parse(R"({"verb":"LOAD","generator":)" + candidate + "}"));
+    if (fleet.router->replica_indices(key) != fp_owner) spec = candidate;
+  }
+  ASSERT_FALSE(spec.empty());
+
+  const json::Value load = client.request(R"({"verb":"LOAD","dimacs":")" +
+                                          svc::json_escape(dimacs_text(g)) +
+                                          R"(","generator":)" + spec + "}");
+  ASSERT_EQ(load.string_or("status", ""), "ok");
+  ASSERT_EQ(load.string_or("fingerprint", ""), fp);  // dimacs outranks generator
+  const json::Value r = client.solve(fp);
+  EXPECT_EQ(r.string_or("status", ""), "ok")
+      << r.string_or("code", "") << ": " << r.string_or("message", "");
+}
+
+TEST(RouterFleet, MalformedSourcesAreAnsweredByTheRouterWithTheWorkersMessage) {
+  Fleet fleet(2);
+  svc::Client client = fleet.client();
+  svc::Client direct = svc::Client::connect_unix(fleet.worker_paths[0]);
+  std::vector<std::uint64_t> before;
+  for (const auto& s : fleet.router->backend_snapshots()) before.push_back(s.requests);
+
+  for (const std::string payload : {
+           R"({"verb":"SOLVE","generator":{"family":"sprand","nodes":64}})",
+           R"({"verb":"LOAD","generator":{"family":"ring","n":1.5}})",
+           R"({"verb":"SOLVE","generator":{"family":"hypercube"}})",
+           R"({"verb":"SOLVE","fingerprint":42})",
+       }) {
+    const json::Value routed = client.request(payload);
+    const json::Value worker = direct.request(payload);
+    EXPECT_EQ(routed.string_or("code", ""), svc::kErrBadRequest) << payload;
+    EXPECT_EQ(worker.string_or("code", ""), svc::kErrBadRequest) << payload;
+    EXPECT_FALSE(routed.string_or("message", "").empty()) << payload;
+    EXPECT_EQ(routed.string_or("message", ""), worker.string_or("message", "")) << payload;
+  }
+  // No hop: no backend saw any of them.
+  const auto after = fleet.router->backend_snapshots();
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].requests, before[i]) << after[i].name;
+  }
+  // A verb that resolves no graph ignores source fields, as a worker does.
+  EXPECT_EQ(client.request(R"({"verb":"PING","generator":{"family":"hypercube"}})")
+                .string_or("status", ""),
+            "ok");
+}
+
+TEST(RouterFleet, InvalidTraceIdIsRejectedWithTheWorkersMessage) {
+  Fleet fleet(2);
+  svc::Client client = fleet.client();
+  svc::Client direct = svc::Client::connect_unix(fleet.worker_paths[0]);
+  const std::string payload = R"({"verb":"PING","trace_id":"not a valid id!"})";
+  const json::Value routed = client.request(payload);
+  const json::Value worker = direct.request(payload);
+  EXPECT_EQ(routed.string_or("code", ""), svc::kErrBadRequest);
+  EXPECT_EQ(worker.string_or("code", ""), svc::kErrBadRequest);
+  EXPECT_EQ(routed.string_or("message", ""), svc::kInvalidTraceIdMessage);
+  EXPECT_EQ(worker.string_or("message", ""), svc::kInvalidTraceIdMessage);
 }
 
 // The TSan target: mixed verbs from many threads while a worker dies

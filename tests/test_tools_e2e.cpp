@@ -472,6 +472,40 @@ TEST(ToolsE2E, EveryToolRejectsAnUnknownFlagWithItsUsage) {
   }
 }
 
+// Out-of-range generator flags must fail, naming the flag and its bounds,
+// rather than wrap: a wrapped --n 4294967300 is a 4-node ring.
+TEST(ToolsE2E, GeneratorFlagsOutsideTheirRangeAreRejected) {
+  namespace fs = std::filesystem;
+  const auto dir =
+      fs::temp_directory_path() / ("mcr_e2e_range." + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string out = (dir / "g.out").string();
+  struct Case {
+    const char* cmd;
+    const char* flag_and_bounds;
+  };
+  for (const Case& c : {
+           Case{"mcr_gen ring --n 4294967300", "--n expects an integer in [0, 2147483647]"},
+           Case{"mcr_gen ring --n 3000000000", "--n expects an integer in [0, 2147483647]"},
+           Case{"mcr_gen sprand --n 8 --m -1", "--m expects an integer in [0, 2147483647]"},
+           Case{"mcr_gen circuit --module 2147483648",
+                "--module expects an integer in [0, 2147483647]"},
+           Case{"mcr_gen torus --cols 4294967304",
+                "--cols expects an integer in [0, 2147483647]"},
+           Case{"mcr_gen sprand --n 8 --tmax 4294967297",
+                "--tmax expects an integer in [-4294967296, 4294967296]"},
+           Case{"mcr_pack gen circuit --fanout 2147483648",
+                "--fanout expects an integer in [0, 2147483647]"},
+       }) {
+    const auto r = run(tool("") + c.cmd + " --out " + out);
+    EXPECT_NE(r.exit_code, 0) << c.cmd << ": " << r.stdout_text;
+    EXPECT_NE(r.stdout_text.find(c.flag_and_bounds), std::string::npos)
+        << c.cmd << ": " << r.stdout_text;
+    EXPECT_FALSE(fs::exists(out)) << c.cmd << " wrote an output file";
+  }
+  fs::remove_all(dir);
+}
+
 // The flags the repository benchmark starts its daemons with must stay
 // accepted: a worker on a dataset with an access log, and a router with
 // replicas over it. Both drain on SIGTERM and remove their sockets.

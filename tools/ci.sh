@@ -241,6 +241,22 @@ router_smoke() {
   local router_pid=$!
   for _ in $(seq 1 100); do [[ -S "$rsock" ]] && break; sleep 0.1; done
 
+  # Spelling affinity: a generator graph LOADed through the router and
+  # SOLVEd under two other spellings (explicit m, explicit defaults) is
+  # routed by the worker's alias key: two alias hits fleet-wide, and the
+  # graph resident only on its replica set.
+  local g='"generator":{"family":"sprand","n":96'
+  for payload in "{\"verb\":\"LOAD\",$g}}" "{\"verb\":\"SOLVE\",$g,\"m\":192}}" \
+      "{\"verb\":\"SOLVE\",$g,\"m\":192,\"wmin\":1,\"wmax\":10000,\"tmin\":1,\"tmax\":1,\"seed\":1}}"; do
+    run "$bdir/tools/mcr_query" --socket "$rsock" raw "$payload" | grep '"status":"ok"' > /dev/null
+  done
+  run "$bdir/tools/mcr_query" --socket "$rsock" raw '{"verb":"STATS","fanout":true}' | python3 -c "
+import json, sys
+s = json.load(sys.stdin); ws = [w['metrics'] for w in s['workers'].values()]
+hits = sum(m['counters'].get('mcr_graph_alias_hits_total', 0) for m in ws)
+holders = sum(m['gauges'].get('mcr_graphs_resident', 0) > 0 for m in ws)
+assert (hits, holders) == (2, s['replicas']), ('alias hits, holders', hits, holders)"
+
   # Chaos alongside the load: SIGKILL w2 one second into the run (dirty
   # death — no drain, no goodbye), restart it a second later on the same
   # socket path. The prober must notice both transitions.
