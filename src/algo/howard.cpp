@@ -36,11 +36,14 @@
 // and thread count. The policy-cycle evaluation and the reverse BFS
 // stay serial (pointer chases, Theta(n) against the sweep's Theta(m));
 // the reverse-policy adjacency they walk is flat CSR arrays rebuilt by
-// counting sort each iteration, not per-node vectors.
+// counting sort each iteration, not per-node vectors. Both read the
+// policy successor array succ[u] = dst(policy[u]), which the improve
+// step's apply keeps current, so each hop is one load, not two.
 #include <algorithm>
 #include <atomic>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "algo/algorithms.h"
@@ -117,6 +120,12 @@ class HowardSolver final : public Solver {
           improved_init_ ? best : g.weight(policy[static_cast<std::size_t>(u)]);
     }
     std::int64_t cur_den = 1;
+    // The policy successor dst(policy[u]): the evaluate chase and the
+    // reverse-BFS counting sort read it with one load, not two.
+    std::vector<NodeId> succ(un, kInvalidNode);
+    for (NodeId u = 0; u < n; ++u) {
+      succ[static_cast<std::size_t>(u)] = g.dst(policy[static_cast<std::size_t>(u)]);
+    }
 
     // Scratch for policy-cycle evaluation and the reverse BFS. The
     // reverse-policy adjacency is flat CSR (offsets + node array),
@@ -131,18 +140,11 @@ class HowardSolver final : public Solver {
     std::vector<NodeId> bfs;
     std::vector<std::int64_t> dist_prev(un, 0);
 
-    const std::span<const ArcId> out_ids = g.out_arc_ids();
-    TiledSweep sweep(g.out_first(), tiles);
-    struct Cand {
-      std::int64_t val;
-      std::int32_t pos;
-      bool operator<(const Cand& o) const {
-        if (val != o.val) return val < o.val;
-        return pos < o.pos;
-      }
-    };
-    constexpr Cand kNoCand{std::numeric_limits<std::int64_t>::max(),
-                           std::numeric_limits<std::int32_t>::max()};
+    using Sweep = TiledSweep<std::int64_t>;
+    Sweep sweep(g, SweepSide::kOut,
+                           kind_ == ProblemKind::kCycleMean ? SweepPayload::kWeight
+                                                            : SweepPayload::kWeightTransit,
+                           tiles);
 
     Rational lambda;
     std::vector<ArcId> best_cycle;
@@ -168,7 +170,7 @@ class HowardSolver final : public Solver {
           visit_mark[static_cast<std::size_t>(u)] = 2 * iter;
           chain_pos[static_cast<std::size_t>(u)] = static_cast<std::int32_t>(chain.size());
           chain.push_back(u);
-          u = g.dst(policy[static_cast<std::size_t>(u)]);
+          u = succ[static_cast<std::size_t>(u)];
         }
         if (visit_mark[static_cast<std::size_t>(u)] == 2 * iter) {
           // New policy cycle found, starting at u on the current chain.
@@ -210,9 +212,12 @@ class HowardSolver final : public Solver {
         const std::int64_t factor =
             lambda.den() / std::gcd(cur_den, lambda.den());
         if (!grow_scale(dist, cur_den, factor)) {
-          // Out of 64-bit headroom (unreachable for the supported
-          // weight/transit ranges): finish exactly by cycle canceling,
-          // like the iteration safety valve below.
+          // Out of headroom: the scale only grows (by lcm with each new
+          // lambda's denominator), so on ordinary inputs it can pass
+          // 2^31 — about 1 SPRAND graph in 100 at n = 2048 and 1 in 10
+          // at n = 16384 (tests/test_howard.cpp pins one). Finish
+          // exactly by cycle canceling, like the iteration safety valve
+          // below.
           obs::emit(obs::EventKind::kSafetyValve, "howard.scale_overflow", iter);
           detail::refine_to_exact(g, kind_, lambda, best_cycle, result.counters,
                                   tiles);
@@ -229,17 +234,14 @@ class HowardSolver final : public Solver {
       std::fill(rev_first.begin(), rev_first.end(), 0);
       for (NodeId v = 0; v < n; ++v) {
         if (v != s) {
-          ++rev_first[static_cast<std::size_t>(
-                          g.dst(policy[static_cast<std::size_t>(v)])) +
-                      1];
+          ++rev_first[static_cast<std::size_t>(succ[static_cast<std::size_t>(v)]) + 1];
         }
       }
       for (std::size_t i = 0; i < un; ++i) rev_first[i + 1] += rev_first[i];
       std::copy(rev_first.begin(), rev_first.end() - 1, rev_cursor.begin());
       for (NodeId v = 0; v < n; ++v) {
         if (v != s) {
-          const auto t = static_cast<std::size_t>(
-              g.dst(policy[static_cast<std::size_t>(v)]));
+          const auto t = static_cast<std::size_t>(succ[static_cast<std::size_t>(v)]);
           rev_nodes[static_cast<std::size_t>(rev_cursor[t]++)] = v;
         }
       }
@@ -272,35 +274,36 @@ class HowardSolver final : public Solver {
       // deterministic for any tile size and thread count.
       std::copy(dist.begin(), dist.end(), dist_prev.begin());
       std::atomic<bool> improved{false};
-      std::atomic<std::int64_t> adopted{0};
-      std::atomic<std::uint64_t> relaxed{0};
-      sweep.run(
-          kNoCand,
-          [&](std::int32_t p) {
-            const ArcId a = out_ids[static_cast<std::size_t>(p)];
-            return Cand{dist_prev[static_cast<std::size_t>(g.dst(a))] +
-                            g.weight(a) * cur_den - lam_num * transit(a),
-                        p};
-          },
-          [&](NodeId u, const Cand& best) {
-            if (best.pos == std::numeric_limits<std::int32_t>::max()) return;
-            const std::int64_t delta =
-                dist_prev[static_cast<std::size_t>(u)] - best.val;
-            if (delta > 0) {
-              dist[static_cast<std::size_t>(u)] = best.val;
-              policy[static_cast<std::size_t>(u)] =
-                  out_ids[static_cast<std::size_t>(best.pos)];
-              relaxed.fetch_add(1, std::memory_order_relaxed);
-              adopted.fetch_add(1, std::memory_order_relaxed);
-              if (delta > eps_scaled) {
-                improved.store(true, std::memory_order_relaxed);
-              }
-            }
-          });
+      // Returns whether u adopted a new policy arc; the sweep counts them.
+      const auto apply = [&](NodeId u, std::int64_t best, std::int32_t pos) {
+        if (pos == Sweep::kNoPosition) return false;
+        const std::int64_t delta = dist_prev[static_cast<std::size_t>(u)] - best;
+        if (delta <= 0) return false;
+        dist[static_cast<std::size_t>(u)] = best;
+        policy[static_cast<std::size_t>(u)] = sweep.arc(pos);
+        succ[static_cast<std::size_t>(u)] = sweep.other(pos);
+        if (delta > eps_scaled) improved.store(true, std::memory_order_relaxed);
+        return true;
+      };
+      // Mean kernels have no transit stream: their transit is 1.
+      const auto improve = [&](auto unit_transit) {
+        return sweep.run(
+            std::numeric_limits<std::int64_t>::max(),
+            // By-value scale factors: the fold's stores cannot alias them.
+            [&, den = cur_den, lam = lam_num](std::int32_t p) {
+              std::int64_t t = 1;
+              if constexpr (!decltype(unit_transit)::value) t = sweep.transit(p);
+              return dist_prev[static_cast<std::size_t>(sweep.other(p))] +
+                     sweep.weight(p) * den - lam * t;
+            },
+            apply);
+      };
+      const SweepTally adopted = kind_ == ProblemKind::kCycleMean ? improve(std::true_type{})
+                                                                  : improve(std::false_type{});
       result.counters.arc_scans += static_cast<std::uint64_t>(sweep.positions());
-      result.counters.relaxations += relaxed.load(std::memory_order_relaxed);
+      result.counters.relaxations += adopted.changed;
       obs::emit(obs::EventKind::kPolicyImprove, "howard.policy_improve",
-                adopted.load(std::memory_order_relaxed));
+                static_cast<std::int64_t>(adopted.changed));
       if (!improved.load(std::memory_order_relaxed)) break;
 
       // Safety valve: policy iteration is only pseudo-polynomial (the

@@ -76,18 +76,16 @@ std::optional<std::pair<int128, int128>> karp_table(const Graph& g, D inf,
   std::vector<D> d((un + 1) * un, inf);
   d[0] = D{0};  // D_0(source = node 0)
 
-  const std::span<const ArcId> in_ids = g.in_arc_ids();
-  TiledSweep sweep(g.in_first(), tiles);
+  TiledSweep<D> sweep(g, SweepSide::kIn, SweepPayload::kWeight, tiles);
   for (NodeId k = 1; k <= n; ++k) {
     const D* prev = d.data() + static_cast<std::size_t>(k - 1) * un;
     D* cur = d.data() + static_cast<std::size_t>(k) * un;
     sweep.run(
         inf,
         [&](std::int32_t p) -> D {
-          const ArcId a = in_ids[static_cast<std::size_t>(p)];
-          const D du = prev[static_cast<std::size_t>(g.src(a))];
+          const D du = prev[static_cast<std::size_t>(sweep.other(p))];
           if (du == inf) return inf;
-          return dist_add(du, D{g.weight(a)});
+          return dist_add(du, D{sweep.weight(p)});
         },
         [&](NodeId v, const D& best) { cur[static_cast<std::size_t>(v)] = best; });
     counters.arc_scans += static_cast<std::uint64_t>(sweep.positions());

@@ -48,13 +48,14 @@ class Karp2Solver final : public Solver {
     std::vector<std::int64_t> prev(un, kInf);
     std::vector<std::int64_t> cur(un, kInf);
 
-    const std::span<const ArcId> in_ids = g.in_arc_ids();
-    TiledSweep sweep(g.in_first(), tiles);
+    TiledSweep<std::int64_t> sweep(g, SweepSide::kIn, SweepPayload::kWeight, tiles);
     const auto candidate = [&](std::int32_t p) -> std::int64_t {
-      const ArcId a = in_ids[static_cast<std::size_t>(p)];
-      const std::int64_t du = prev[static_cast<std::size_t>(g.src(a))];
-      if (du == kInf) return kInf;
-      return du + g.weight(a);
+      const std::int64_t du = prev[static_cast<std::size_t>(sweep.other(p))];
+      // Summed unsigned so the discarded kInf + w cannot overflow; the
+      // select then compiles to a conditional move, not a branch.
+      const auto sum = static_cast<std::int64_t>(static_cast<std::uint64_t>(du) +
+                                                 static_cast<std::uint64_t>(sweep.weight(p)));
+      return du == kInf ? kInf : sum;
     };
     const auto advance = [&](const auto& apply) {
       sweep.run(kInf, candidate, apply);

@@ -1,7 +1,6 @@
 #include "graph/bellman_ford.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <stdexcept>
 #include <type_traits>
@@ -43,8 +42,9 @@ struct BfCore {
 };
 
 /// A value no real relaxation candidate reaches: the fold identity for
-/// the per-node min. The paired position tie-break makes the sentinel
-/// lose even a value tie, so exact headroom does not matter.
+/// the per-node min. A candidate that only ties it does not win the
+/// fold, and could not have lowered any distance either, so exact
+/// headroom does not matter.
 template <typename Cost>
 Cost fold_identity() {
   if constexpr (std::is_same_v<Cost, double>) {
@@ -80,56 +80,38 @@ BfCore<Cost> run_bellman_ford(const Graph& g, std::span<const CostIn> cost,
   std::vector<Cost> snapshot(un, Cost{0});
   std::vector<ArcId> parent(un, kInvalidArc);
 
-  const std::span<const ArcId> in_ids = g.in_arc_ids();
-  TiledSweep sweep(g.in_first(), tiles);
+  using Sweep = TiledSweep<Cost>;
+  Sweep sweep(g, SweepSide::kIn, SweepPayload::kNone, tiles);
+  const std::vector<CostIn> cost_pos = sweep.gather(cost);
 
-  struct Cand {
-    Cost val;
-    std::int32_t pos;
-    bool operator<(const Cand& o) const {
-      if (val < o.val) return true;
-      if (o.val < val) return false;
-      return pos < o.pos;
-    }
-  };
-  const Cand none{fold_identity<Cost>(), std::numeric_limits<std::int32_t>::max()};
-
-  // Improvement bookkeeping shared across tiles: both folds are
-  // order-free (sum; max), so the totals are schedule-independent.
-  std::atomic<std::uint64_t> relaxations{0};
-  std::atomic<NodeId> improved_node{kInvalidNode};
-
+  std::uint64_t relaxations = 0;
   NodeId relaxed_node = kInvalidNode;
   for (NodeId pass = 0; pass <= n; ++pass) {
     snapshot = out.dist;
-    improved_node.store(kInvalidNode, std::memory_order_relaxed);
-    sweep.run(
-        none,
+    // The tally counts the relaxed nodes and keeps the last one; both
+    // are order-free folds, so they are schedule-independent.
+    const SweepTally tally = sweep.run(
+        fold_identity<Cost>(),
         [&](std::int32_t p) {
-          const ArcId a = in_ids[static_cast<std::size_t>(p)];
-          return Cand{snapshot[static_cast<std::size_t>(g.src(a))] +
-                          Cost(cost[static_cast<std::size_t>(a)]),
-                      p};
+          return snapshot[static_cast<std::size_t>(sweep.other(p))] +
+                 Cost(cost_pos[static_cast<std::size_t>(p)]);
         },
-        [&](NodeId v, const Cand& best) {
-          if (best.pos == std::numeric_limits<std::int32_t>::max()) return;
-          if (best.val < snapshot[static_cast<std::size_t>(v)]) {
-            out.dist[static_cast<std::size_t>(v)] = best.val;
-            parent[static_cast<std::size_t>(v)] =
-                in_ids[static_cast<std::size_t>(best.pos)];
-            relaxations.fetch_add(1, std::memory_order_relaxed);
-            atomic_store_max(improved_node, v);
+        [&](NodeId v, const Cost& best, std::int32_t pos) {
+          if (pos == Sweep::kNoPosition || !(best < snapshot[static_cast<std::size_t>(v)])) {
+            return false;
           }
+          out.dist[static_cast<std::size_t>(v)] = best;
+          parent[static_cast<std::size_t>(v)] = sweep.arc(pos);
+          return true;
         });
     if (counters != nullptr) {
       counters->arc_scans += static_cast<std::uint64_t>(sweep.positions());
     }
-    relaxed_node = improved_node.load(std::memory_order_relaxed);
+    relaxations += tally.changed;
+    relaxed_node = tally.last_changed;
     if (relaxed_node == kInvalidNode) break;  // converged early
   }
-  if (counters != nullptr) {
-    counters->relaxations += relaxations.load(std::memory_order_relaxed);
-  }
+  if (counters != nullptr) counters->relaxations += relaxations;
 
   if (relaxed_node != kInvalidNode) {
     out.has_negative_cycle = true;

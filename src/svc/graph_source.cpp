@@ -127,6 +127,20 @@ std::int64_t in_range(const Field& f, std::int64_t x) {
   return x;
 }
 
+/// The default of a kTwiceN field. When 2n leaves the field's range the
+/// fault is n's: the message names n and the largest n that fits.
+std::int64_t twice_n(const Field& f, std::int64_t n) {
+  const std::int64_t hi = bounds(f.range).second;
+  if (2 * n > hi) {
+    throw std::invalid_argument("generator field 'n' = " + std::to_string(n) +
+                                " makes the default '" + f.name + "' = 2n exceed " +
+                                std::to_string(hi) + "; the largest 'n' whose default fits is " +
+                                std::to_string(hi / 2) + ", or give '" + f.name +
+                                "' explicitly");
+  }
+  return 2 * n;
+}
+
 std::int64_t integer_field(const Field& f, const json::Value& v) {
   const std::string what = "generator field '" + std::string(f.name) + "'";
   if (!v.is_number()) throw std::invalid_argument(what + " must be an integer");
@@ -170,7 +184,7 @@ void parse_generator(const json::Value& spec, GraphSource& src) {
   for (const Field& f : family.fields) {
     const auto it = obj.find(f.name);
     const std::int64_t x = it != obj.end()         ? integer_field(f, it->second)
-                           : f.fallback == kTwiceN ? in_range(f, 2 * src.fields.front())
+                           : f.fallback == kTwiceN ? twice_n(f, src.fields.front())
                                                    : f.fallback;
     src.fields.push_back(x);
     src.alias_key += ';';

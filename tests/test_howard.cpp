@@ -162,6 +162,28 @@ TEST(Howard, RescaleRegressionRatio) {
   EXPECT_LE(r.counters.iterations, 16u);         // pre-fix: ~1200
 }
 
+// Howard's scale-overflow valve is reachable on ordinary inputs: on
+// this SPRAND graph the running distance denominator outgrows its 2^31
+// limit and the solve finishes by Bellman-Ford cycle cancelling
+// (detail::refine_to_exact), whose checked-int64 probes run through the
+// tiled relaxation engine. The answer must stay exact and certified.
+TEST(HowardValve, ScaleOverflowInstanceIsExactAndCertified) {
+  gen::SprandConfig sc;
+  sc.n = 2048;
+  sc.m = 6144;
+  sc.min_weight = 1;
+  sc.max_weight = 10000;
+  sc.seed = 80000257;
+  const Graph g = gen::sprand(sc);
+  const CycleResult howard = minimum_cycle_mean(g, "howard");
+  ASSERT_TRUE(howard.has_cycle);
+  EXPECT_EQ(howard.value, minimum_cycle_mean(g, "karp2").value);
+  EXPECT_TRUE(verify_result(g, howard, ProblemKind::kCycleMean).ok);
+  // The valve fired. Bounding Howard's distance scale (ROADMAP, "Howard
+  // without the scale-overflow cliff") is expected to flip this line.
+  EXPECT_GE(howard.counters.feasibility_checks, 1u);
+}
+
 TEST(Howard, ManyComponentsViaDriver) {
   const Graph g = gen::scc_chain(10, 6, 1, 100, 6);
   const auto r = minimum_cycle_mean(g, "howard");

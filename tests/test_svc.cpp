@@ -32,6 +32,7 @@
 #include "svc/cache.h"
 #include "svc/client.h"
 #include "svc/graph_registry.h"
+#include "svc/graph_source.h"
 #include "svc/protocol.h"
 #include "store/format.h"
 #include "store/pack_writer.h"
@@ -1642,6 +1643,28 @@ TEST(SvcGraphSource, StrictSpecsRejectWhatTheGeneratorWouldNotRead) {
     EXPECT_EQ(r.string_or("status", ""), "ok") << spec;
   }
   server.stop_and_drain();
+}
+
+// sprand's default m is 2n. An n whose default overflows the arc count is
+// n's fault, and the parser says so before any graph is built; the
+// largest n whose default fits, or an explicit m, parses.
+TEST(SvcGraphSource, DefaultEdgeCountOverflowNamesN) {
+  const auto parse = [](const std::string& spec) {
+    return svc::parse_graph_source(
+        json::parse(R"({"verb":"SOLVE","generator":)" + spec + "}"));
+  };
+  try {
+    (void)parse(R"({"family":"sprand","n":2000000000})");
+    ADD_FAILURE() << "n = 2000000000 with the default m parsed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'n' = 2000000000"), std::string::npos) << what;
+    EXPECT_NE(what.find("1073741823"), std::string::npos) << what;
+    EXPECT_NE(what.find("give 'm' explicitly"), std::string::npos) << what;
+  }
+  EXPECT_EQ(parse(R"({"family":"sprand","n":1073741823})").fields[1], 2147483646);
+  EXPECT_EQ(parse(R"({"family":"sprand","n":2000000000,"m":2000000000})").fields[1],
+            2000000000);
 }
 
 // Runs under TSan in CI: four connections hammer one hot key and eight

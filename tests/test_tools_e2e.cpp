@@ -506,6 +506,26 @@ TEST(ToolsE2E, GeneratorFlagsOutsideTheirRangeAreRejected) {
   fs::remove_all(dir);
 }
 
+// sprand's default --m is 2n. When that overflows the arc count the
+// error names --n (not the --m nobody typed) and the largest --n whose
+// default fits, and is raised before any graph is generated.
+TEST(ToolsE2E, GeneratorDefaultEdgeCountOverflowNamesN) {
+  namespace fs = std::filesystem;
+  const auto dir =
+      fs::temp_directory_path() / ("mcr_e2e_defm." + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string out = (dir / "g.out").string();
+  const auto r = run(tool("mcr_gen") + " sprand --n 2000000000 --out " + out);
+  EXPECT_EQ(WEXITSTATUS(r.exit_code), 1) << r.stdout_text;
+  EXPECT_NE(r.stdout_text.find("option --n 2000000000"), std::string::npos) << r.stdout_text;
+  EXPECT_NE(r.stdout_text.find("largest --n whose default fits is 1073741823"),
+            std::string::npos)
+      << r.stdout_text;
+  EXPECT_EQ(r.stdout_text.find("--m expects"), std::string::npos) << r.stdout_text;
+  EXPECT_FALSE(fs::exists(out));
+  fs::remove_all(dir);
+}
+
 // The flags the repository benchmark starts its daemons with must stay
 // accepted: a worker on a dataset with an access log, and a router with
 // replicas over it. Both drain on SIGTERM and remove their sockets.

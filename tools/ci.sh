@@ -31,6 +31,9 @@
 # twice and is gated with mcr_bench_diff: the self-diff must report zero
 # regressions (exit 0), and the A-vs-B cross-run diff uses a generous
 # threshold since CI machines are noisy (see docs/BENCHMARKING.md).
+# A determinism smoke solves with mcr_solve on 1 thread and on 4
+# threads with 64-arc tiles and requires identical values, counters and
+# witness cycles.
 # The Release config additionally gates against the committed
 # BENCH_baseline.json via the bench_all.sh --update-baseline recipe.
 # The sanitizer configs compile the fault-injection hooks in and run the
@@ -317,6 +320,37 @@ print(stats['metrics']['gauges']['mcr_router_backend_up{worker=\"unix:$w2\"}'])
   rm -rf "$tmp"
 }
 
+# Tool-level determinism smoke: each solve run on 1 thread and on 4
+# threads with 64-arc tiles must print the same values, counters and
+# witness cycles (text and JSON output); only the timing fields are
+# dropped before the diff. The first instance drives Howard into its
+# scale-overflow valve, so Bellman-Ford cycle cancelling runs through
+# the tiled engine too. $1 = build dir.
+determinism_smoke() {
+  local bdir="$1"
+  local tmp
+  tmp="$(mktemp -d)"
+  echo "=== determinism smoke ($bdir) ==="
+  run "$bdir/tools/mcr_gen" sprand --n 2048 --m 6144 --wmin 1 --wmax 10000 \
+      --seed 80000257 --out "$tmp/valve.dimacs"
+  run "$bdir/tools/mcr_gen" sprand --n 512 --m 1536 --seed 5 --out "$tmp/s512.dimacs"
+  local spec mode
+  for spec in "valve.dimacs --algo howard --counters --verify" "s512.dimacs --all --counters"; do
+    for mode in "--threads 1" "--threads 4 --tile-arcs 64"; do
+      # shellcheck disable=SC2086  # spec and mode are word lists
+      { run "$bdir/tools/mcr_solve" "$tmp/"$spec $mode
+        run "$bdir/tools/mcr_solve" "$tmp/"$spec $mode --output json
+      } | sed -e 's/, [0-9.]* ms$//' -e 's/,"milliseconds":[^,}]*//' \
+          > "$tmp/out.${mode// /_}"
+    done
+    if ! diff "$tmp/out.--threads_1" "$tmp/out.--threads_4_--tile-arcs_64"; then
+      echo "FAIL: mcr_solve $spec differs between serial and tiled runs" >&2
+      exit 1
+    fi
+  done
+  rm -rf "$tmp"
+}
+
 # Benchmark artifact + regression-gate smoke: a tiny grid run twice,
 # both artifacts schema-validated, then gated. The strict gate is the
 # deterministic self-diff; the cross-run diff only proves the gate can
@@ -350,6 +384,7 @@ if [[ "$FAST" == 0 ]]; then
   store_smoke build
   router_smoke build
   bench_smoke build
+  determinism_smoke build
 
   echo "=== bench baseline gate ==="
   # Gate against the committed baseline: rerun the exact recipe that
@@ -395,6 +430,7 @@ load_smoke build-asan
 store_smoke build-asan
 router_smoke build-asan
 bench_smoke build-asan
+determinism_smoke build-asan
 
 echo "=== store corruption-rejection tests (sanitized) ==="
 # Explicitly re-run the pack rejection suite under ASan+UBSan: mmap

@@ -31,6 +31,14 @@ inline Graph generate_graph(const std::string& family, const Options& opt) {
   if (family == "sprand") {
     gen::SprandConfig cfg;
     cfg.n = static_cast<NodeId>(count("n", 512));
+    // The default m = 2n must fit an ArcId too; its failure is --n's.
+    constexpr std::int64_t kMaxCount = std::numeric_limits<std::int32_t>::max();
+    if (!opt.has("m") && 2 * std::int64_t{cfg.n} > kMaxCount) {
+      throw std::invalid_argument(
+          "option --n " + std::to_string(cfg.n) + " makes the default --m = 2n exceed " +
+          std::to_string(kMaxCount) + "; the largest --n whose default fits is " +
+          std::to_string(kMaxCount / 2) + ", or give --m explicitly");
+    }
     cfg.m = static_cast<ArcId>(count("m", 2 * std::int64_t{cfg.n}));
     cfg.min_weight = opt.get_int("wmin", 1);
     cfg.max_weight = opt.get_int("wmax", 10000);
