@@ -1,6 +1,7 @@
 #include "gen/circuit.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -12,6 +13,9 @@ Graph circuit(const CircuitConfig& config) {
   if (config.registers < 1) throw std::invalid_argument("circuit: need >= 1 register");
   if (config.module_size < 1) throw std::invalid_argument("circuit: module_size >= 1");
   if (config.avg_fanout < 1.0) throw std::invalid_argument("circuit: avg_fanout >= 1");
+  if (config.avg_fanout * config.registers > std::numeric_limits<ArcId>::max()) {
+    throw std::invalid_argument("circuit: avg_fanout * registers arcs exceed 2^31 - 1");
+  }
   if (config.min_delay > config.max_delay) {
     throw std::invalid_argument("circuit: empty delay interval");
   }

@@ -1,5 +1,6 @@
 #include "gen/structured.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include "support/prng.h"
@@ -81,6 +82,10 @@ Graph scc_chain(NodeId k, NodeId ring_size, std::int64_t lo, std::int64_t hi,
 
 Graph torus(NodeId h, NodeId w, std::int64_t lo, std::int64_t hi, std::uint64_t seed) {
   if (h < 1 || w < 1) throw std::invalid_argument("torus: h, w >= 1");
+  // Node ids r * w + c and the 2hw arcs must fit NodeId / ArcId.
+  if (2 * std::int64_t{h} * w > std::numeric_limits<ArcId>::max()) {
+    throw std::invalid_argument("torus: 2 * h * w arcs exceed 2^31 - 1");
+  }
   Prng rng(seed);
   const auto id = [&](NodeId r, NodeId c) { return r * w + c; };
   std::vector<ArcSpec> arcs;

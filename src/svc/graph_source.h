@@ -20,8 +20,9 @@
 //
 // Generator specs are strict: every field must be an integer in its
 // range and every key must be one the family reads; anything else
-// throws std::invalid_argument (BAD_REQUEST on the wire). The accepted
-// keys and defaults per family are tabled in docs/SERVICE.md.
+// throws std::invalid_argument (BAD_REQUEST on the wire). The families,
+// their keys, ranges and defaults are the table in gen/families.h,
+// which mcr_gen and `mcr_pack gen` read too (docs/SERVICE.md).
 #ifndef MCR_SVC_GRAPH_SOURCE_H
 #define MCR_SVC_GRAPH_SOURCE_H
 

@@ -11,8 +11,16 @@ namespace mcr::cli {
 namespace {
 
 // The flags every case below may use; parse() rejects any other.
-const std::vector<std::string_view> kFlags = {"n",        "m",      "verify", "algo",
-                                               "missing",  "neg",    "worker", "replicas"};
+const std::vector<Flag> kFlags = {
+    {"n", "N", "nodes"},
+    {"m", "M", "arcs"},
+    {"verify", "", "certify the result"},
+    {"algo", "NAME", "registry solver"},
+    {"missing", "X", "never given"},
+    {"neg", "N", "a negative integer"},
+    {"worker", "SPEC", "one backend\n(repeatable)"},
+    {"replicas", "R", "replication factor"},
+};
 
 Options parse(const std::vector<std::string>& args) { return cli::parse(args, kFlags); }
 
@@ -122,6 +130,41 @@ TEST(Cli, GetAllPreservesEveryOccurrenceInOrder) {
 TEST(Cli, GetAllOfMissingKeyIsEmpty) {
   const Options o = parse({"--n", "1"});
   EXPECT_TRUE(o.get_all("missing").empty());
+}
+
+
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+// The usage text is rendered from the same table parse() checks, so
+// every accepted flag is named in it, once, with its argument.
+TEST(Cli, UsageRendersEveryRowOnceWithItsArgument) {
+  const std::string text = usage("prog <file> [options]\nprog --list", kFlags);
+  EXPECT_EQ(text.rfind("usage: prog <file> [options]\n       prog --list\n", 0), 0u) << text;
+  for (const Flag& f : kFlags) {
+    const std::string head = "--" + f.name + (f.arg.empty() ? "" : " " + f.arg);
+    EXPECT_EQ(occurrences(text, "  " + head + " "), 1u) << head << "\n" << text;
+    EXPECT_EQ(occurrences(text, f.help.substr(0, f.help.find('\n'))), 1u) << text;
+  }
+  // Help columns align, and a help line break continues in the column.
+  const std::size_t column = text.find("nodes") - text.rfind('\n', text.find("nodes")) - 1;
+  EXPECT_EQ(text.find("registry solver") - text.rfind('\n', text.find("registry solver")) - 1,
+            column);
+  EXPECT_NE(text.find("\n" + std::string(column, ' ') + "(repeatable)\n"), std::string::npos)
+      << text;
+  try {
+    (void)cli::parse({"--verbose"}, kFlags);
+    FAIL() << "a flag outside the table parsed";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("--verbose"), std::string::npos) << e.what();
+    EXPECT_EQ(text.find("--verbose"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -168,6 +168,11 @@ TEST(Circuit, RejectsBadConfigs) {
   cfg.registers = 10;
   cfg.avg_fanout = 0.5;
   EXPECT_THROW(gen::circuit(cfg), std::invalid_argument);
+  // The largest --fanout percent on 512 registers asks for ~1.1e10 arcs:
+  // refused before any allocation.
+  cfg.registers = 512;
+  cfg.avg_fanout = 2147483647 / 100.0;
+  EXPECT_THROW(gen::circuit(cfg), std::invalid_argument);
 }
 
 TEST(Structured, RingWeights) {
@@ -212,6 +217,8 @@ TEST(Structured, Validation) {
   EXPECT_THROW(gen::ring({}), std::invalid_argument);
   EXPECT_THROW(gen::complete(1, 1, 2, 3), std::invalid_argument);
   EXPECT_THROW(gen::torus(0, 3, 1, 2, 3), std::invalid_argument);
+  // 2 * 32768 * 32768 = 2^31 arcs: one past ArcId, refused before any allocation.
+  EXPECT_THROW(gen::torus(32768, 32768, 1, 2, 3), std::invalid_argument);
   EXPECT_THROW(gen::layered_feedback(0, 3, 1, 2, 3), std::invalid_argument);
   EXPECT_THROW(gen::scc_chain(0, 3, 1, 2, 3), std::invalid_argument);
   EXPECT_THROW(gen::path(0), std::invalid_argument);

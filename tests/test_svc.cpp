@@ -1614,7 +1614,7 @@ TEST(SvcGraphSource, StrictSpecsRejectWhatTheGeneratorWouldNotRead) {
       R"({"family":"sprand","n":64,"wmin":-1e19})",
       R"({"family":"sprand","n":"64"})",
       R"({"family":"sprand","n":64,"nodes":64})",
-      R"({"family":"circuit","n":64,"fanout":2})",
+      R"({"family":"circuit","n":64,"wmin":2})",
       R"({"family":"ring","n":8,"wmin":10,"wmax":1})",
       R"({"family":"sprand","n":4,"tmin":1,"tmax":4294967297})",  // 2^32 + 1
       R"({"family":"hexagon","n":8})",
@@ -1625,10 +1625,10 @@ TEST(SvcGraphSource, StrictSpecsRejectWhatTheGeneratorWouldNotRead) {
     const json::Value r = client.request(solve_gen(spec));
     EXPECT_EQ(r.string_or("code", ""), "BAD_REQUEST") << spec;
   }
-  const json::Value fanout = client.request(solve_gen(R"({"family":"circuit","fanout":2})"));
-  EXPECT_NE(fanout.string_or("message", "").find("accepted keys: family, n, module, seed"),
+  const json::Value wmin = client.request(solve_gen(R"({"family":"circuit","wmin":2})"));
+  EXPECT_NE(wmin.string_or("message", "").find("accepted keys: family, n, module, fanout, seed"),
             std::string::npos)
-      << fanout.string_or("message", "");
+      << wmin.string_or("message", "");
   EXPECT_EQ(counter_value(server, "mcr_graph_loads_total"), 0u);
 
   // The edges of the accepted ranges. LOAD, not SOLVE: Howard's int64
@@ -1637,7 +1637,10 @@ TEST(SvcGraphSource, StrictSpecsRejectWhatTheGeneratorWouldNotRead) {
        {R"({"family":"sprand","n":8,"seed":9007199254740992})",
         R"({"family":"ring","n":8,"wmin":-9223372036854775808,"wmax":9223372036854774784})",
         R"({"family":"sprand","n":8,"tmin":-4294967296,"tmax":4294967296})",
-        R"({"family":"circuit","n":40,"module":8,"seed":0})"}) {
+        R"({"family":"circuit","n":40,"module":8,"seed":0})",
+        R"({"family":"circuit","n":40,"module":8,"fanout":250,"seed":9007199254740992})",
+        R"({"family":"torus","rows":2,"cols":3,"wmin":-9223372036854775808,)"
+        R"("wmax":9223372036854774784,"seed":0})"}) {
     const json::Value r =
         client.request(std::string(R"({"verb":"LOAD","generator":)") + spec + "}");
     EXPECT_EQ(r.string_or("status", ""), "ok") << spec;

@@ -459,16 +459,30 @@ TEST(ToolsE2E, BenchRejectsUnknownFlagsWithoutRunningTheGrid) {
   fs::remove_all(dir);
 }
 
+// The usage is rendered from the flag table parse() checks, so it names
+// every accepted flag: each tool's probe below is one a hand-written
+// usage text used to leave out, or one that carries its argument.
 TEST(ToolsE2E, EveryToolRejectsAnUnknownFlagWithItsUsage) {
-  for (const char* name : {"mcr_solve", "mcr_gen", "mcr_fuzz", "mcr_bench",
-                           "mcr_bench_diff", "mcr_pack", "mcr_serve", "mcr_router",
-                           "mcr_query", "mcr_load", "mcr_chaos"}) {
-    const auto out = run(tool(name) + " --no-such-flag 1");
-    EXPECT_EQ(exit_status(out.exit_code), 2) << name << ": " << out.stdout_text;
+  struct Probe {
+    std::string name;
+    std::string flag;
+  };
+  for (const Probe& p : {Probe{"mcr_solve", "--json"}, Probe{"mcr_gen", "--wmax N"},
+                         Probe{"mcr_fuzz", "--trace-out FILE"},
+                         Probe{"mcr_bench", "--workload W"},
+                         Probe{"mcr_bench_diff", "--version"}, Probe{"mcr_pack", "--fanout N"},
+                         Probe{"mcr_serve", "--flight-dump PATH"},
+                         Probe{"mcr_router", "--probe-interval-ms MS"},
+                         Probe{"mcr_query", "--retry"}, Probe{"mcr_load", "--cold-pct P"},
+                         Probe{"mcr_chaos", "--crash-test PATH"}}) {
+    const auto out = run(tool(p.name) + " --no-such-flag 1");
+    EXPECT_EQ(exit_status(out.exit_code), 2) << p.name << ": " << out.stdout_text;
     EXPECT_NE(out.stdout_text.find("--no-such-flag"), std::string::npos)
-        << name << ": " << out.stdout_text;
-    EXPECT_NE(out.stdout_text.find(std::string("usage: ") + name), std::string::npos)
-        << name << ": " << out.stdout_text;
+        << p.name << ": " << out.stdout_text;
+    EXPECT_NE(out.stdout_text.find("usage: " + p.name), std::string::npos)
+        << p.name << ": " << out.stdout_text;
+    EXPECT_NE(out.stdout_text.find("  " + p.flag + " "), std::string::npos)
+        << p.name << " usage omits " << p.flag << ": " << out.stdout_text;
   }
 }
 
@@ -496,6 +510,9 @@ TEST(ToolsE2E, GeneratorFlagsOutsideTheirRangeAreRejected) {
                 "--tmax expects an integer in [-4294967296, 4294967296]"},
            Case{"mcr_pack gen circuit --fanout 2147483648",
                 "--fanout expects an integer in [0, 2147483647]"},
+           Case{"mcr_gen ring --seed -1", "--seed expects an integer in [0, 9007199254740992]"},
+           Case{"mcr_gen ring --seed 9007199254740993",
+                "--seed expects an integer in [0, 9007199254740992]"},
        }) {
     const auto r = run(tool("") + c.cmd + " --out " + out);
     EXPECT_NE(r.exit_code, 0) << c.cmd << ": " << r.stdout_text;
@@ -503,6 +520,73 @@ TEST(ToolsE2E, GeneratorFlagsOutsideTheirRangeAreRejected) {
         << c.cmd << ": " << r.stdout_text;
     EXPECT_FALSE(fs::exists(out)) << c.cmd << " wrote an output file";
   }
+  fs::remove_all(dir);
+}
+
+// mcr_gen and the service read one generator-family table: the same
+// fields, given as flags or as a LOAD spec, build the same graph, and a
+// flag the family does not read is refused as the service refuses the
+// key.
+TEST(ToolsE2E, GeneratorFlagsAndServiceSpecBuildOneGraph) {
+  namespace fs = std::filesystem;
+  const auto dir =
+      fs::temp_directory_path() / ("mcr_e2e_parity." + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string sock = (dir / "mcr.sock").string();
+  const std::string log = (dir / "serve.log").string();
+  const std::string file = (dir / "g.dimacs").string();
+  const pid_t server =
+      spawn_tool({tool("mcr_serve"), "--socket", sock, "--flight-dump", "none"}, log);
+  ASSERT_GT(server, 0);
+  ASSERT_TRUE(wait_for_ping(sock)) << slurp(log);
+  const std::string query = tool("mcr_query") + " --socket " + sock;
+
+  struct Case {
+    std::string family;
+    std::vector<std::pair<std::string, std::string>> fields;
+  };
+  for (const Case& c : {
+           Case{"sprand",
+                {{"n", "96"}, {"m", "300"}, {"wmin", "-5"}, {"wmax", "50"}, {"tmin", "1"},
+                 {"tmax", "4"}, {"seed", "7"}}},
+           Case{"circuit", {{"n", "512"}, {"seed", "1"}}},  // the default fanout
+           Case{"circuit", {{"n", "200"}, {"module", "8"}, {"fanout", "180"}, {"seed", "3"}}},
+           Case{"ring", {{"n", "40"}, {"wmin", "2"}, {"wmax", "30"}, {"seed", "9"}}},
+           Case{"torus", {{"rows", "5"}, {"cols", "7"}, {"seed", "4"}}},
+       }) {
+    std::string flags;
+    std::string spec = "{\"family\":\"" + c.family + "\"";
+    for (const auto& [key, value] : c.fields) {
+      flags += " --" + key + " " + value;
+      spec += ",\"" + key + "\":" + value;
+    }
+    spec += "}";
+    // EXPECT, not ASSERT: a failed case must still stop the server below.
+    const auto gen = run(tool("mcr_gen") + " " + c.family + flags + " --out " + file);
+    EXPECT_EQ(gen.exit_code, 0) << c.family << flags << ": " << gen.stdout_text;
+    const auto loaded = run(query + " load " + file);
+    EXPECT_EQ(loaded.exit_code, 0) << loaded.stdout_text;
+    const auto raw =
+        run(query + " raw '{\"verb\":\"LOAD\",\"generator\":" + spec + "}'");
+    EXPECT_EQ(raw.exit_code, 0) << raw.stdout_text;
+    // A refused spec has no fingerprint: the comparison shows the reply.
+    const mcr::json::Value r = mcr::json::parse(raw.stdout_text);
+    EXPECT_EQ(loaded.stdout_text, r.string_or("fingerprint", raw.stdout_text) + "\n")
+        << c.family << flags << " vs " << spec;
+    fs::remove(file);
+  }
+
+  const auto ring = run(tool("mcr_gen") + " ring --n 4 --m 5 --out " + file);
+  EXPECT_EQ(exit_status(ring.exit_code), 2) << ring.stdout_text;
+  EXPECT_NE(ring.stdout_text.find("does not read --m (it reads --n --wmin --wmax --seed)"),
+            std::string::npos)
+      << ring.stdout_text;
+  EXPECT_FALSE(fs::exists(file)) << "a rejected flag still wrote a graph";
+
+  EXPECT_EQ(::kill(server, SIGTERM), 0);
+  int status = -1;
+  EXPECT_EQ(::waitpid(server, &status, 0), server);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   fs::remove_all(dir);
 }
 

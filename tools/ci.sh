@@ -33,7 +33,9 @@
 # threshold since CI machines are noisy (see docs/BENCHMARKING.md).
 # A determinism smoke solves with mcr_solve on 1 thread and on 4
 # threads with 64-arc tiles and requires identical values, counters and
-# witness cycles.
+# witness cycles. The Release leg also runs the repository benchmark's
+# serve_warm and fleet_mixed workloads once each and fails unless each
+# run judges itself valid (perfbench_smoke).
 # The Release config additionally gates against the committed
 # BENCH_baseline.json via the bench_all.sh --update-baseline recipe.
 # The sanitizer configs compile the fault-injection hooks in and run the
@@ -373,6 +375,19 @@ bench_smoke() {
   rm -rf "$tmp"
 }
 
+# Benchmark self-check smoke: each service workload of the repository
+# benchmark (perfbench/run.py, built in its own directory) must judge its
+# own run valid. Exit 3 is "the run judged itself invalid", with the
+# reasons on stderr; any exit but 0 fails the gate. 25 s is the shortest
+# run with enough open-loop samples for a p99.
+perfbench_smoke() {
+  echo "=== perfbench smoke ==="
+  local w
+  for w in serve_warm fleet_mixed; do
+    run python3 perfbench/run.py --workload "$w" --seed 1 --seconds 25 --trace 0 > /dev/null
+  done
+}
+
 if [[ "$FAST" == 0 ]]; then
   echo "=== Release build + tests ==="
   run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
@@ -385,6 +400,7 @@ if [[ "$FAST" == 0 ]]; then
   router_smoke build
   bench_smoke build
   determinism_smoke build
+  perfbench_smoke
 
   echo "=== bench baseline gate ==="
   # Gate against the committed baseline: rerun the exact recipe that

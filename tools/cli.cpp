@@ -1,7 +1,10 @@
 #include "cli.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+
+#include "gen/families.h"
 
 namespace mcr::cli {
 
@@ -73,8 +76,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-Options parse(const std::vector<std::string>& args,
-              const std::vector<std::string_view>& flags) {
+Options parse(const std::vector<std::string>& args, const std::vector<Flag>& flags) {
   Options out;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -98,7 +100,7 @@ Options parse(const std::vector<std::string>& args,
     } else {
       key = body;
     }
-    if (std::find(flags.begin(), flags.end(), key) == flags.end()) {
+    if (std::none_of(flags.begin(), flags.end(), [&](const Flag& f) { return f.name == key; })) {
       throw UsageError("unknown option --" + key);
     }
     out.named[key] = value;
@@ -107,11 +109,72 @@ Options parse(const std::vector<std::string>& args,
   return out;
 }
 
-Options parse(int argc, const char* const* argv,
-              const std::vector<std::string_view>& flags) {
+Options parse(int argc, const char* const* argv, const std::vector<Flag>& flags) {
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
   return parse(args, flags);
+}
+
+std::string usage(std::string_view synopsis, const std::vector<Flag>& flags) {
+  const auto indent = [](std::string_view text, std::size_t width) {
+    std::string out;
+    for (const char c : text) {
+      out += c;
+      if (c == '\n') out.append(width, ' ');
+    }
+    return out + "\n";
+  };
+  std::string out = "usage: " + indent(synopsis, 7);
+  std::vector<std::string> heads;
+  std::size_t width = 0;
+  for (const Flag& f : flags) {
+    heads.push_back("  --" + f.name + (f.arg.empty() ? "" : " " + f.arg) + "  ");
+    width = std::max(width, heads.back().size());
+  }
+  for (std::size_t i = 0; i < flags.size(); ++i) {
+    heads[i].resize(width, ' ');
+    out += heads[i] + indent(flags[i].help, width);
+  }
+  return out;
+}
+
+std::vector<Flag> generator_flags() {
+  std::vector<Flag> rows;
+  for (const gen::Family& family : gen::families()) {
+    for (const gen::Field& field : family.fields) {
+      auto row = std::find_if(rows.begin(), rows.end(),
+                              [&](const Flag& f) { return f.name == field.name; });
+      if (row == rows.end()) row = rows.insert(rows.end(), Flag{field.name, "N", ""});
+      row->help += (row->help.empty() ? "" : ", ") + std::string(family.name) + " " +
+                   (field.fallback == gen::kTwiceN ? "2n" : std::to_string(field.fallback));
+    }
+  }
+  return rows;
+}
+
+Graph generate(const std::string& family_name, const Options& opt) {
+  const gen::Family& family = gen::find_family(family_name);
+  for (const Flag& flag : generator_flags()) {
+    if (!opt.has(flag.name) || gen::reads(family, flag.name)) continue;
+    std::string reads;
+    for (const gen::Field& f : family.fields) reads += " --" + std::string(f.name);
+    throw UsageError("family " + family_name + " does not read --" + flag.name + " (it reads" +
+                     reads + ")");
+  }
+  std::vector<std::int64_t> values;
+  for (const gen::Field& f : family.fields) {
+    const std::optional<std::int64_t> x =
+        opt.has(f.name) ? opt.get_int_in(f.name, 0, f.lo, f.hi) : gen::default_value(f, values);
+    if (!x) {
+      // sprand's m = 2n leaves m's range: the fault is --n's.
+      throw std::invalid_argument(
+          "option --n " + std::to_string(values.front()) + " makes the default --" + f.name +
+          " = 2n exceed " + std::to_string(f.hi) + "; the largest --n whose default fits is " +
+          std::to_string(f.hi / 2) + ", or give --" + f.name + " explicitly");
+    }
+    values.push_back(*x);
+  }
+  return family.make(values);
 }
 
 }  // namespace mcr::cli

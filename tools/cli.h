@@ -1,8 +1,10 @@
 // Minimal command-line option parsing shared by the mcr tools.
 // Deliberately tiny: "--key value", "--key=value", bare "--flag", and
-// positional arguments. Each tool declares the flags it accepts and any
-// other flag is a usage error. Parsing is a pure function over strings
-// so the test suite can drive it without spawning processes.
+// positional arguments. Each tool declares the flags it accepts in one
+// table: parse() rejects any other flag and usage() renders the table,
+// so the help cannot drift from what is accepted. Parsing is a pure
+// function over strings so the test suite can drive it without
+// spawning processes.
 #ifndef MCR_TOOLS_CLI_H
 #define MCR_TOOLS_CLI_H
 
@@ -13,7 +15,18 @@
 #include <string_view>
 #include <vector>
 
+#include "graph/graph.h"
+
 namespace mcr::cli {
+
+/// One flag a tool accepts: its name without the leading "--", the
+/// placeholder of its value ("" for a bare flag) and its help; a "\n"
+/// in the help continues it on the next line.
+struct Flag {
+  std::string name;
+  std::string arg;
+  std::string help;
+};
 
 struct Options {
   std::map<std::string, std::string> named;  // flag -> value ("" for bare flags; last wins)
@@ -50,13 +63,28 @@ class UsageError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// Parses argv[1..argc). `flags` declares every flag the tool accepts,
-/// without the leading "--". Throws UsageError on any other flag and on
-/// malformed input (e.g. "---x" or a lone "--").
+/// Parses argv[1..argc). `flags` declares every flag the tool accepts.
+/// Throws UsageError on any other flag and on malformed input (e.g.
+/// "---x" or a lone "--").
 [[nodiscard]] Options parse(const std::vector<std::string>& args,
-                            const std::vector<std::string_view>& flags);
+                            const std::vector<Flag>& flags);
 [[nodiscard]] Options parse(int argc, const char* const* argv,
-                            const std::vector<std::string_view>& flags);
+                            const std::vector<Flag>& flags);
+
+/// "usage: " + `synopsis` (one form per line), then one row per flag:
+/// "--name ARG" and its help in aligned columns.
+[[nodiscard]] std::string usage(std::string_view synopsis, const std::vector<Flag>& flags);
+
+/// One flag per field of the generator families (gen/families.h), in
+/// first-use order; each row's help names the families that read it
+/// and their defaults.
+[[nodiscard]] std::vector<Flag> generator_flags();
+
+/// Builds `family`'s graph from its generator flags. Throws UsageError
+/// when a generator flag the family does not read is given, and
+/// std::invalid_argument for an unknown family or a value outside its
+/// field's range.
+[[nodiscard]] Graph generate(const std::string& family, const Options& opt);
 
 }  // namespace mcr::cli
 

@@ -4,28 +4,6 @@
 // "unavailable" in containers). Artifacts are the repo's perf
 // trajectory; compare two with mcr_bench_diff.
 //
-//   mcr_bench [--name NAME] [--workload sprand|sprand_ratio|circuit]
-//             [--solvers a,b,c] [--out FILE] [--trials N] [--warmup N]
-//             [--max-n N] [--threads N] [--tile-arcs N] [--no-phases]
-//             [--list]
-//
-//   --name NAME     artifact name (default: the workload); the file
-//                   defaults to BENCH_<name>.json
-//   --workload W    sprand        Table-2 SPRAND grid, mean solvers
-//                   sprand_ratio  transit U[1,10] grid, ratio solvers
-//                   circuit       synthetic LGSynth-style suite
-//   --solvers CSV   registry solver names (default per workload)
-//   --trials N      timed repetitions per cell (default 5)
-//   --warmup N      discarded warmup runs per cell (default 1)
-//   --max-n N       drop grid cells with more than N nodes
-//   --n N --m M     replace the sprand grids with one custom cell
-//                   (single-instance A/B runs, e.g. tiling studies)
-//   --threads N     per-SCC worker threads for the measured solves
-//   --tile-arcs N   arc-tile granularity for intra-SCC parallelism
-//                   (0 = untiled; results are bit-identical either way)
-//   --no-phases     skip the traced phase-breakdown pass
-//   --list          print workloads and their default solver sets
-//
 // The grid follows MCR_BENCH_SCALE (small | medium | full) like every
 // bench binary. Each cell measures one fixed instance (trial 0 of the
 // cell's seed schedule) so medians are comparable run-over-run; the
@@ -51,11 +29,25 @@ namespace {
 using namespace mcr;
 using namespace mcr::bench;
 
-constexpr const char* kUsage =
-    "usage: mcr_bench [--name NAME] [--workload sprand|sprand_ratio|circuit]\n"
-    "                 [--solvers a,b,c] [--out FILE] [--trials N] [--warmup N]\n"
-    "                 [--max-n N] [--n N --m M] [--threads N] [--tile-arcs N]\n"
-    "                 [--no-phases] [--list] [--version]\n";
+const std::vector<cli::Flag> kFlags = {
+    {"name", "NAME", "artifact name (default: the workload)"},
+    {"workload", "W", "sprand        Table-2 SPRAND grid, mean solvers (default)\n"
+                      "sprand_ratio  transit U[1,10] grid, ratio solvers\n"
+                      "circuit       synthetic LGSynth-style suite"},
+    {"solvers", "CSV", "registry solver names (default per workload, see --list)"},
+    {"out", "FILE", "artifact path (default BENCH_<name>.json)"},
+    {"trials", "N", "timed repetitions per cell (default 5)"},
+    {"warmup", "N", "discarded warmup runs per cell (default 1)"},
+    {"max-n", "N", "drop grid cells with more than N nodes"},
+    {"n", "N", "with --m: replace the sprand grids with one custom cell"},
+    {"m", "M", "arcs of the custom cell (default n)"},
+    {"threads", "N", "per-SCC worker threads for the measured solves"},
+    {"tile-arcs", "N", "arc-tile granularity for intra-SCC parallelism (0 = untiled;\n"
+                       "results are bit-identical either way)"},
+    {"no-phases", "", "skip the traced phase-breakdown pass"},
+    {"list", "", "print workloads and their default solver sets"},
+    {"version", "", "print build provenance and exit"},
+};
 
 struct WorkloadSpec {
   std::string name;
@@ -235,17 +227,14 @@ int run(const cli::Options& opt) {
 
 int main(int argc, char** argv) {
   try {
-    const cli::Options opt =
-        cli::parse(argc, argv,
-                   {"name", "workload", "solvers", "out", "trials", "warmup", "max-n",
-                    "n", "m", "threads", "tile-arcs", "no-phases", "list", "version"});
+    const cli::Options opt = cli::parse(argc, argv, kFlags);
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_bench");
       return 0;
     }
     return run(opt);
   } catch (const cli::UsageError& e) {
-    std::cerr << "mcr_bench: " << e.what() << "\n" << kUsage;
+    std::cerr << "mcr_bench: " << e.what() << "\n" << cli::usage("mcr_bench [options]", kFlags);
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_bench: " << e.what() << "\n";

@@ -1,8 +1,6 @@
 // mcr_bench_diff — compare two BENCH_*.json artifacts and gate on
 // regressions.
 //
-//   mcr_bench_diff BASELINE CANDIDATE [--threshold PCT] [--all-cells]
-//
 // A cell regresses when the candidate median is more than PCT% slower
 // (default 5%) AND above the baseline's 95% bootstrap CI upper bound —
 // the CI guard keeps noisy cells from flagging. Improvements use the
@@ -21,13 +19,15 @@ namespace {
 
 using namespace mcr::bench;
 
-constexpr const char* kUsage =
-    "usage: mcr_bench_diff BASELINE CANDIDATE [--threshold PCT] [--all-cells]\n";
+const std::vector<mcr::cli::Flag> kFlags = {
+    {"threshold", "PCT", "regression threshold over the baseline CI (default 5)"},
+    {"all-cells", "", "list every cell, not only regressions, improvements and notes"},
+    {"version", "", "print build provenance and exit"},
+};
 
 int run(const mcr::cli::Options& opt) {
   if (opt.positional.size() != 2) {
-    std::cerr << kUsage;
-    return 2;
+    throw mcr::cli::UsageError("expected BASELINE and CANDIDATE");
   }
   DiffOptions options;
   options.threshold_pct = opt.get_double("threshold", options.threshold_pct);
@@ -56,14 +56,15 @@ int run(const mcr::cli::Options& opt) {
 int main(int argc, char** argv) {
   try {
     const mcr::cli::Options opt =
-        mcr::cli::parse(argc, argv, {"threshold", "all-cells", "version"});
+        mcr::cli::parse(argc, argv, kFlags);
     if (opt.has("version")) {
       std::cout << mcr::obs::version_string("mcr_bench_diff");
       return 0;
     }
     return run(opt);
   } catch (const mcr::cli::UsageError& e) {
-    std::cerr << "mcr_bench_diff: " << e.what() << "\n" << kUsage;
+    std::cerr << "mcr_bench_diff: " << e.what() << "\n"
+              << mcr::cli::usage("mcr_bench_diff BASELINE CANDIDATE [options]", kFlags);
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_bench_diff: " << e.what() << "\n";

@@ -36,10 +36,6 @@
 // leave a well-formed Chrome-JSON ring dump at PATH — the post-mortem
 // contract ci.sh validates.
 //
-//   mcr_chaos [--seeds N] [--seed-base B] [--solves N] [--plan SPEC]
-//             [--repeat-check] [--trace] [--flight N]
-//             [--crash-test PATH]
-//
 // Exit status: 0 = no invariant violations, 1 = violations (each is
 // printed), 2 = usage error; --crash-test dies by SIGABRT.
 #include <unistd.h>
@@ -73,6 +69,17 @@ constexpr const char* kDefaultPlan =
     "write_eintr=0.06,write_short=0.06,write_reset=0.02,"
     "worker_stall=0.05,worker_death=0.1,clock_skip=0.1,phase=0.03,"
     "stall_ms=1,max_per_site=64";
+
+const std::vector<cli::Flag> kFlags = {
+    {"seeds", "N", "fault plans to sweep (default 8)"},
+    {"seed-base", "B", "the first plan's seed (default 1)"},
+    {"solves", "N", "SOLVE requests per seed (default 12)"},
+    {"plan", "SPEC", "fault rates per site (default: moderate rates at every site)"},
+    {"repeat-check", "", "run each seed twice; the injection traces must match"},
+    {"trace", "", "print each seed's injection trace"},
+    {"flight", "N", "flight-recorder capacity of the in-process servers (default 8)"},
+    {"crash-test", "PATH", "raise SIGABRT after the first seed, dumping the flight ring to PATH"},
+};
 
 bool is_documented_code(const std::string& code) {
   return code == svc::kErrBadRequest || code == svc::kErrNotFound ||
@@ -334,9 +341,7 @@ int main(int argc, char** argv) {
   std::string crash_dump;
   fault::Plan base_plan;
   try {
-    opt = cli::parse(argc, argv,
-                     {"seeds", "seed-base", "solves", "plan", "repeat-check", "trace",
-                      "flight", "crash-test"});
+    opt = cli::parse(argc, argv, kFlags);
     seeds = static_cast<int>(opt.get_int_in("seeds", 8, 1, 100000));
     solves = static_cast<int>(opt.get_int_in("solves", 12, 1, 100000));
     seed_base = static_cast<std::uint64_t>(opt.get_int("seed-base", 1));
@@ -345,10 +350,7 @@ int main(int argc, char** argv) {
     crash_dump = opt.get("crash-test");
     base_plan = fault::Plan::parse(opt.get("plan", kDefaultPlan));
   } catch (const std::exception& e) {
-    std::cerr << "mcr_chaos: " << e.what() << "\n"
-              << "usage: mcr_chaos [--seeds N] [--seed-base B] [--solves N]\n"
-              << "                 [--plan SPEC] [--repeat-check] [--trace]\n"
-              << "                 [--flight N] [--crash-test PATH]\n";
+    std::cerr << "mcr_chaos: " << e.what() << "\n" << cli::usage("mcr_chaos [options]", kFlags);
     return 2;
   }
 

@@ -1,9 +1,5 @@
 // mcr_fuzz — randomized differential testing of the whole registry.
 //
-//   mcr_fuzz [--trials 200] [--seed 1] [--max-n 96] [--ratio]
-//            [--negative] [--verbose] [--threads N]
-//            [--trace-out FILE]
-//
 // --threads N routes every solve through the parallel SCC driver with N
 // workers (0 = hardware), so the fuzzer also cross-checks the
 // determinism of the parallel merge.
@@ -37,11 +33,23 @@
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: mcr_fuzz [--trials N] [--seed N] [--max-n N] [--ratio] [--negative]\n"
-    "                [--threads N] [--trace-out FILE] [--verbose] [--version]\n";
-
 using namespace mcr;
+
+const std::vector<cli::Flag> kFlags = {
+    {"trials", "N", "random instances to check (default 200)"},
+    {"seed", "N", "master PRNG seed (default 1)"},
+    {"max-n", "N", "largest instance, in nodes (default 96)"},
+    {"ratio", "", "fuzz the cycle-ratio solvers with random transits"},
+    {"negative", "", "allow negative arc weights"},
+    {"threads", "N", "solve through the parallel SCC driver on N workers"},
+    {"trace-out", "FILE", "trace of a failing run (default mcr_fuzz.fail.trace.json)"},
+    {"verbose", "", "report every trial"},
+    {"version", "", "print build provenance and exit"},
+};
+
+/// An instance seed mcr_gen accepts: [0, 2^53], the generators' seed
+/// range, so every repro line replays.
+std::uint64_t instance_seed(Prng& rng) { return rng.fork_seed() >> 11; }
 
 struct Instance {
   Graph graph;
@@ -66,7 +74,7 @@ Instance random_instance(Prng& rng, NodeId max_n, bool ratio, bool negative) {
         cfg.min_transit = 1;
         cfg.max_transit = rng.uniform_int(1, 8);
       }
-      cfg.seed = rng.fork_seed();
+      cfg.seed = instance_seed(rng);
       std::string repro = "mcr_gen sprand --n " + std::to_string(cfg.n) + " --m " +
                           std::to_string(cfg.m) + " --wmin " +
                           std::to_string(cfg.min_weight) + " --wmax " +
@@ -86,7 +94,7 @@ Instance random_instance(Prng& rng, NodeId max_n, bool ratio, bool negative) {
       // reproduces the exact double.
       const std::int64_t fanout_pct = rng.uniform_int(120, 200);
       cfg.avg_fanout = static_cast<double>(fanout_pct) / 100.0;
-      cfg.seed = rng.fork_seed();
+      cfg.seed = instance_seed(rng);
       return {gen::circuit(cfg),
               "mcr_gen circuit --n " + std::to_string(cfg.registers) + " --module " +
                   std::to_string(cfg.module_size) + " --fanout " +
@@ -95,7 +103,7 @@ Instance random_instance(Prng& rng, NodeId max_n, bool ratio, bool negative) {
     default: {
       const NodeId rows = static_cast<NodeId>(rng.uniform_int(2, 8));
       const NodeId cols = static_cast<NodeId>(rng.uniform_int(2, 8));
-      const std::uint64_t seed = rng.fork_seed();
+      const std::uint64_t seed = instance_seed(rng);
       return {gen::torus(rows, cols, 1, 1000, seed),
               "mcr_gen torus --rows " + std::to_string(rows) + " --cols " +
                   std::to_string(cols) + " --wmin 1 --wmax 1000 --seed " +
@@ -137,10 +145,7 @@ void dump_failure(const Graph& g, const Instance& inst, std::uint64_t master_see
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt =
-        cli::parse(argc, argv,
-                   {"trials", "seed", "max-n", "ratio", "negative", "threads",
-                    "trace-out", "verbose", "version"});
+    const cli::Options opt = cli::parse(argc, argv, kFlags);
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_fuzz");
       return 0;
@@ -207,7 +212,7 @@ int main(int argc, char** argv) {
     std::cout << "all " << trials << " trials agree and certify\n";
     return 0;
   } catch (const cli::UsageError& e) {
-    std::cerr << "mcr_fuzz: " << e.what() << "\n" << kUsage;
+    std::cerr << "mcr_fuzz: " << e.what() << "\n" << cli::usage("mcr_fuzz [options]", kFlags);
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_fuzz: " << e.what() << "\n";

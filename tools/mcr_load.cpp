@@ -1,13 +1,5 @@
 // mcr_load — load generator / replay harness for the mcr solve service.
 //
-//   mcr_load --socket PATH | --port N | --target SPEC [--target SPEC ...]
-//            [--rps R | --ramp R1:S1,R2:S2,...]   open-loop offered load
-//            [--concurrency K]                    closed-loop workers
-//            [--connections N] [--duration S] [--requests N]
-//            [--mix solve=90,stats=5,ping=5] [--cold-pct P]
-//            [--reload-paths A.mcrpack,B.mcrpack] [--strict]
-//            [--graph-n N] [--seed N] [--output PATH] [--version]
-//
 // Two load models:
 //
 //  - Open loop (--rps or --ramp): request *arrival times* are drawn
@@ -22,33 +14,15 @@
 //    requests back-to-back. Measures capacity, not offered-load
 //    behaviour; latency is per-round-trip.
 //
-// Workload shape:
-//
-//   --mix solve=90,stats=5,ping=5   relative weights per verb
-//                    (solve | ping | stats | health | solvers | reload;
-//                    reload defaults to weight 0 — give it weight to
-//                    exercise dataset hot-swap under load)
-//   --reload-paths A,B   RELOAD rotates through these pack paths
-//                    round-robin; without it RELOAD is sent bare and
-//                    re-attaches the server's current dataset path
-//   --cold-pct P     percent of SOLVEs forced cold: each cold request
-//                    carries a never-repeated generator seed, so its
-//                    fingerprint misses the result cache and the solve
-//                    runs for real. Cold seeds are salted per run from
-//                    --seed and a per-run nonce, so a second run against
-//                    the same daemon is cold too; a cold request whose
-//                    first attempt comes back cached:true is counted as
-//                    a validity error. Warm SOLVEs rotate a small pool
-//                    of fixed seeds (first hit per seed is cold, the
-//                    rest replay from cache).
-//   --ramp           phases of RPS:SECONDS stepping the offered rate,
-//                    e.g. 200:10,500:10,1000:10 for a three-step ramp
-//   --target SPEC    endpoint to drive: unix:PATH, HOST:PORT, or PORT.
-//                    Repeatable — worker i connects to target i mod N,
-//                    so one harness can drive several routers (or a
-//                    worker fleet directly, as the control experiment
-//                    against the routed path). --socket/--port are
-//                    shorthand for a single target.
+// A cold SOLVE (--cold-pct) carries a never-repeated generator seed, so
+// its fingerprint misses the result cache and the solve runs for real.
+// Cold seeds are salted per run from --seed and a per-run nonce, so a
+// second run against the same daemon is cold too; a cold request whose
+// first attempt comes back cached:true is counted as a validity error.
+// Warm SOLVEs rotate a small pool of fixed seeds (first hit per seed is
+// cold, the rest replay from cache). Worker i drives target i mod N, so
+// one harness can drive several routers (or a worker fleet directly, as
+// the control experiment against the routed path).
 //
 // The end-of-run report prints client-side p50/p95/p99/p99.9 over
 // exact latency samples, throughput, a per-code error table, and cache
@@ -97,17 +71,29 @@ namespace {
 using mcr::Prng;
 using Clock = std::chrono::steady_clock;
 
-constexpr const char* kUsage =
-    "usage: mcr_load --socket PATH | --port N | --target SPEC ...\n"
-    "                [--rps R | --ramp R1:S1,R2:S2,...] open loop\n"
-    "                [--concurrency K]                  closed loop\n"
-    "                [--connections N] [--duration S] [--requests N]\n"
-    "                [--mix solve=90,stats=5,ping=5] [--cold-pct P]\n"
-    "                [--reload-paths A.mcrpack,B.mcrpack] [--strict]\n"
-    "                [--graph-n N] [--seed N] [--output PATH]\n"
-    "                [--version]\n"
-    "       SPEC is unix:PATH, HOST:PORT, or PORT (repeatable;\n"
-    "       worker i drives target i mod N)\n";
+const std::vector<mcr::cli::Flag> kFlags = {
+    {"socket", "PATH", "drive the service on this Unix-domain socket"},
+    {"port", "N", "drive the service on 127.0.0.1:N"},
+    {"target", "SPEC", "endpoint to drive: unix:PATH, HOST:PORT or PORT (repeatable)"},
+    {"rps", "R", "open loop: offered requests per second"},
+    {"ramp", "R1:S1,R2:S2,...", "open loop: phases of RPS:SECONDS stepping the offered rate"},
+    {"concurrency", "K", "closed loop: K workers back-to-back (default 4)"},
+    {"connections", "N", "open loop: connections (default 4)"},
+    {"duration", "S", "run length in seconds (default 10)"},
+    {"requests", "N", "stop after N requests"},
+    {"mix", "solve=90,stats=5,ping=5", "relative weights per verb: solve | ping | stats |\n"
+                                       "health | solvers | reload (reload defaults to 0)"},
+    {"cold-pct", "P", "percent of SOLVEs forced cold (default 0)"},
+    {"reload-paths", "A.mcrpack,B.mcrpack", "RELOAD rotates through these packs; without it\n"
+                                            "RELOAD re-attaches the current dataset"},
+    {"strict", "", "also exit 1 on any service or validity error"},
+    {"graph-n", "N", "nodes of the generated SOLVE graphs (default 128)"},
+    {"seed", "N", "PRNG seed (default 1)"},
+    {"output", "PATH", "write the report as a JSON artifact"},
+    {"version", "", "print build provenance and exit"},
+};
+constexpr std::string_view kSynopsis =
+    "mcr_load --socket PATH | --port N | --target SPEC... [options]";
 
 struct Phase {
   double rps = 0.0;
@@ -459,19 +445,14 @@ std::string json_opt(const std::optional<double>& v) {
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt =
-        cli::parse(argc, argv,
-                   {"socket", "port", "target", "rps", "ramp", "concurrency",
-                    "connections", "duration", "requests", "mix", "cold-pct",
-                    "reload-paths", "strict", "graph-n", "seed", "output", "version"});
+    const cli::Options opt = cli::parse(argc, argv, kFlags);
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_load");
       return 0;
     }
     if (!opt.positional.empty() ||
         (!opt.has("socket") && !opt.has("port") && !opt.has("target"))) {
-      std::cerr << kUsage;
-      return 2;
+      throw cli::UsageError("expected --socket, --port or --target and no positional");
     }
 
     LoadConfig cfg;
@@ -702,7 +683,7 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const cli::UsageError& e) {
-    std::cerr << "mcr_load: " << e.what() << "\n" << kUsage;
+    std::cerr << "mcr_load: " << e.what() << "\n" << cli::usage(kSynopsis, kFlags);
     return 2;
   } catch (const std::invalid_argument& e) {
     std::cerr << "mcr_load: " << e.what() << "\n";

@@ -1,10 +1,5 @@
 // mcr_pack — build, inspect, and verify .mcrpack graph containers.
 //
-//   mcr_pack build <input.dimacs> --out FILE.mcrpack
-//   mcr_pack gen <sprand|circuit|ring|torus> [gen options] --out FILE.mcrpack
-//   mcr_pack info FILE.mcrpack
-//   mcr_pack verify FILE.mcrpack
-//
 // `build` packs an existing DIMACS file; `gen` packs a generated
 // instance directly (same families and options as mcr_gen). `info`
 // dumps the validated header and section table; `verify` just attaches
@@ -15,7 +10,6 @@
 #include <iostream>
 
 #include "cli.h"
-#include "generate.h"
 #include "graph/io.h"
 #include "obs/build_info.h"
 #include "store/format.h"
@@ -26,12 +20,11 @@ namespace {
 
 using namespace mcr;
 
-constexpr const char* kUsage =
-    "usage: mcr_pack build <input.dimacs> --out FILE.mcrpack\n"
-    "       mcr_pack gen <sprand|circuit|ring|torus> [options] --out FILE.mcrpack\n"
-    "       mcr_pack info FILE.mcrpack\n"
-    "       mcr_pack verify FILE.mcrpack\n";
-
+constexpr std::string_view kSynopsis =
+    "mcr_pack build <input.dimacs> --out FILE.mcrpack\n"
+    "mcr_pack gen <sprand|circuit|ring|torus> [generator options] --out FILE.mcrpack\n"
+    "mcr_pack info FILE.mcrpack\n"
+    "mcr_pack verify FILE.mcrpack";
 
 void report_write(const std::string& out_path, const store::PackWriteInfo& info) {
   std::cerr << "wrote " << out_path << " (" << info.file_bytes << " bytes, fingerprint "
@@ -89,60 +82,35 @@ int do_info(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace mcr;
+  std::vector<cli::Flag> flags = cli::generator_flags();
+  flags.push_back({"out", "FILE", "the pack to write (build, gen)"});
+  flags.push_back({"version", "", "print build provenance and exit"});
   try {
-    const cli::Options opt =
-        cli::parse(argc, argv,
-                   {"n", "m", "wmin", "wmax", "tmin", "tmax", "seed", "module",
-                    "fanout", "rows", "cols", "out", "version"});
+    const cli::Options opt = cli::parse(argc, argv, flags);
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_pack");
       return 0;
     }
-    if (opt.positional.empty()) {
-      std::cerr << kUsage;
-      return 2;
+    const std::string cmd = opt.positional.empty() ? "" : opt.positional[0];
+    const bool writes = cmd == "build" || cmd == "gen";
+    const bool reads = cmd == "info" || cmd == "verify";
+    if (!(writes || reads) || opt.positional.size() != 2 || (writes && !opt.has("out"))) {
+      throw cli::UsageError("expected one of the forms below");
     }
-    const std::string& cmd = opt.positional[0];
-    if (cmd == "build") {
-      if (opt.positional.size() != 2 || !opt.has("out")) {
-        std::cerr << kUsage;
-        return 2;
-      }
-      const Graph g = load_dimacs(opt.positional[1]);
+    if (writes) {
+      const Graph g = cmd == "build" ? load_dimacs(opt.positional[1])
+                                     : cli::generate(opt.positional[1], opt);
       report_write(opt.get("out"), store::write_pack(opt.get("out"), g));
       return 0;
     }
-    if (cmd == "gen") {
-      if (opt.positional.size() != 2 || !opt.has("out")) {
-        std::cerr << kUsage;
-        return 2;
-      }
-      const Graph g = cli::generate_graph(opt.positional[1], opt);
-      report_write(opt.get("out"), store::write_pack(opt.get("out"), g));
-      return 0;
-    }
-    if (cmd == "info") {
-      if (opt.positional.size() != 2) {
-        std::cerr << kUsage;
-        return 2;
-      }
-      return do_info(opt.positional[1]);
-    }
-    if (cmd == "verify") {
-      if (opt.positional.size() != 2) {
-        std::cerr << kUsage;
-        return 2;
-      }
-      const store::PackReader reader = store::PackReader::open(opt.positional[1]);
-      std::cerr << "ok: " << opt.positional[1] << " (" << reader.file_bytes()
-                << " bytes, fingerprint " << reader.fingerprint_hex() << ")\n";
-      std::cout << reader.fingerprint_hex() << "\n";
-      return 0;
-    }
-    std::cerr << kUsage;
-    return 2;
+    if (cmd == "info") return do_info(opt.positional[1]);
+    const store::PackReader reader = store::PackReader::open(opt.positional[1]);
+    std::cerr << "ok: " << opt.positional[1] << " (" << reader.file_bytes()
+              << " bytes, fingerprint " << reader.fingerprint_hex() << ")\n";
+    std::cout << reader.fingerprint_hex() << "\n";
+    return 0;
   } catch (const cli::UsageError& e) {
-    std::cerr << "mcr_pack: " << e.what() << "\n" << kUsage;
+    std::cerr << "mcr_pack: " << e.what() << "\n" << cli::usage(kSynopsis, flags);
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_pack: " << e.what() << "\n";

@@ -1,49 +1,9 @@
 // mcr_query — command-line client for the mcr solve service.
 //
-//   mcr_query --socket PATH|--tcp PORT <verb> [args]
-//
-//   verbs:
-//     ping                          liveness check
-//     load <file.dimacs>            load a graph, print its fingerprint
-//     solve <file.dimacs|fp:HEX>    solve (loads the file first when
-//                                   given a path) and print the result
-//       [--algo NAME] [--ratio] [--max] [--deadline-ms N]
-//       [--output json]             print the shared result schema
-//                                   (identical bytes for identical
-//                                   cached results; cache status goes
-//                                   to stderr)
-//     solvers                       list the server's registered solvers
-//     stats [--prometheus] [--json] server metrics: per-verb latency
-//                                   summary table (p50/p95/p99 from the
-//                                   histogram buckets) by default, the
-//                                   raw JSON with --json, Prometheus
-//                                   text with --prometheus
-//     top [--interval S] [--count N] refreshing live view: windowed
-//                                   per-verb p50/p95/p99 + rps from
-//                                   STATS {"window":true}, saturation
-//                                   gauges, cache hit ratio per refresh
-//                                   (N frames then exit; 0 = forever)
-//     health                        liveness + queue depth + last-solve age
-//     reload [--path FILE.mcrpack]  hot-swap the server's dataset (no
-//                                   --path re-attaches the current one);
-//                                   prints the new fingerprint/generation
-//     trace [--trace-id H] [--verb V] [--min-ms N] [--limit N] [--out FILE]
-//                                   fetch recent/pinned request traces
-//                                   from the flight recorder as
-//                                   Perfetto-loadable Chrome JSON
-//                                   (stdout or --out FILE; summary on
-//                                   stderr)
-//     raw '<json>'                  send one raw request payload
-//
-//   solve also accepts --trace-id H to propagate a caller-chosen trace
-//   id; every response's trace_id is echoed on stderr so the request's
-//   trace can be fetched back with `trace --trace-id`.
-//
-//   --retry    retry transient failures (BUSY / DEADLINE_EXCEEDED /
-//              SHUTTING_DOWN and transport errors) with exponential
-//              backoff before giving up; safe, SOLVE is idempotent
-//   --version  print build provenance and exit
-//   --help     print the verb and exit-code reference
+// The verbs and their flags are in kVerbs and kFlags below (--help).
+// solve propagates --trace-id as a caller-chosen trace id; every
+// response's trace_id is echoed on stderr so the request's trace can be
+// fetched back with `trace --trace-id`.
 //
 // Exit codes (scriptable: each transient failure mode is distinct):
 //   0  ok
@@ -78,31 +38,49 @@ namespace {
 
 using namespace mcr;
 
-constexpr const char* kHelpText =
-    R"(usage: mcr_query --socket PATH|--tcp PORT <verb> [args]
+const std::vector<cli::Flag> kFlags = {
+    {"socket", "PATH", "the service's Unix-domain socket"},
+    {"tcp", "PORT", "the service's TCP port on 127.0.0.1"},
+    {"retry", "", "retry transient failures (BUSY / DEADLINE_EXCEEDED /\n"
+                  "SHUTTING_DOWN, transport errors) with exponential backoff"},
+    {"version", "", "print build provenance and exit"},
+    {"help", "", "print the verb and exit-code reference"},
+    {"algo", "NAME", "solve: registry solver"},
+    {"ratio", "", "solve: optimize the cycle ratio instead of the mean"},
+    {"max", "", "solve: maximize instead of minimize"},
+    {"deadline-ms", "N", "solve: the request's deadline"},
+    {"output", "json", "solve: print the shared result schema (identical bytes for\n"
+                       "identical cached results; cache status goes to stderr)"},
+    {"trace-id", "H", "solve: propagate trace id H; trace: fetch the trace of id H"},
+    {"prometheus", "", "stats: Prometheus text"},
+    {"json", "", "stats: the raw JSON; health: the raw JSON"},
+    {"interval", "S", "top: seconds between refreshes (default 2)"},
+    {"count", "N", "top: frames before exiting (default 0 = forever)"},
+    {"path", "FILE.mcrpack", "reload: the pack to attach (default: the current one)"},
+    {"verb", "V", "trace: only traces of verb V"},
+    {"min-ms", "N", "trace: only traces at least N ms long"},
+    {"limit", "N", "trace: at most N traces (default 32)"},
+    {"out", "FILE", "trace: write the Chrome JSON to FILE (default stdout)"},
+};
 
+constexpr std::string_view kSynopsis = "mcr_query --socket PATH|--tcp PORT <verb> [args] [options]";
+
+constexpr const char* kVerbs =
+    R"(
 verbs:
   ping                        liveness check
   load <file.dimacs>          load a graph, print its fingerprint
-  solve <file.dimacs|fp:HEX>  solve and print the result
-    [--algo NAME] [--ratio] [--max] [--deadline-ms N] [--output json]
-    [--trace-id H]
+  solve <file.dimacs|fp:HEX>  solve (loading the file first) and print the result
   solvers                     list the server's registered solvers
-  stats [--prometheus|--json] server metrics (default: latency table)
-  top [--interval S] [--count N]
-                              refreshing live view (windowed percentiles,
+  stats                       server metrics (default: per-verb latency table)
+  top                         refreshing live view (windowed percentiles,
                               rps, saturation gauges, cache hit ratio)
-  health [--json]             liveness + queue depth + last-solve age
+  health                      liveness + queue depth + last-solve age
                               (human summary by default; exit 8 = degraded)
-  reload [--path FILE]        hot-swap the server's dataset (.mcrpack)
-  trace [--trace-id H] [--verb V] [--min-ms N] [--limit N] [--out FILE]
-                              fetch request traces (Chrome JSON)
+  reload                      hot-swap the server's dataset (.mcrpack)
+  trace                       fetch recent/pinned request traces from the
+                              flight recorder as Perfetto-loadable Chrome JSON
   raw '<json>'                send one raw request payload
-
-flags:
-  --retry     retry transient failures (exponential backoff + jitter)
-  --version   print build provenance and exit
-  --help      this text
 
 exit codes:
   0  ok
@@ -116,11 +94,6 @@ exit codes:
   8  degraded           health: reachable but draining / unhealthy /
                         queue at capacity (vs 3 = unreachable)
 )";
-
-constexpr const char* kUsage =
-    "usage: mcr_query --socket PATH|--tcp PORT "
-    "<ping|load|solve|solvers|stats|top|health|reload|trace|raw> "
-    "[args] (--help for the exit-code table)\n";
 
 /// The scriptable exit-code contract: transient, retryable conditions
 /// get their own codes so shell callers can branch without parsing
@@ -560,24 +533,18 @@ int main(int argc, char** argv) {
   using namespace mcr;
   cli::Options opt;
   try {
-    opt = cli::parse(argc, argv,
-                     {"socket", "tcp", "retry", "version", "help", "algo", "ratio", "max",
-                      "deadline-ms", "output", "trace-id", "prometheus", "json",
-                      "interval", "count", "path", "verb", "min-ms", "limit", "out"});
+    opt = cli::parse(argc, argv, kFlags);
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_query");
       return 0;
     }
     if (opt.has("help")) {
-      std::cout << kHelpText;
+      std::cout << cli::usage(kSynopsis, kFlags) << kVerbs;
       return 0;
     }
-    if (opt.positional.empty()) {
-      std::cerr << kUsage;
-      return 2;
-    }
+    if (opt.positional.empty()) throw cli::UsageError("expected a verb (--help lists them)");
   } catch (const cli::UsageError& e) {
-    std::cerr << "mcr_query: " << e.what() << "\n" << kUsage;
+    std::cerr << "mcr_query: " << e.what() << "\n" << cli::usage(kSynopsis, kFlags);
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_query: " << e.what() << "\n";

@@ -1,34 +1,6 @@
 // mcr_router — fault-tolerant front-end for a fleet of mcr_serve
 // workers (docs/FLEET.md).
 //
-//   mcr_router --socket /tmp/router.sock [--listen [HOST:]PORT]
-//              --worker unix:/tmp/w1.sock --worker 127.0.0.1:9301 ...
-//              [--replicas R] [--vnodes N] [--attempts N]
-//              [--probe-interval-ms MS] [--pool N] [--max-frame BYTES]
-//              [--breaker-failures N] [--breaker-cooldown-ms MS]
-//              [--breaker-cooldown-max-ms MS]
-//              [--window SECONDS] [--window-slots N]
-//
-//   --socket PATH       Unix-domain listener for clients
-//   --listen [HOST:]PORT  TCP listener (0 = ephemeral, printed; HOST
-//                       defaults to 127.0.0.1)
-//   --worker SPEC       one backend: unix:PATH, HOST:PORT, or PORT
-//                       (repeatable; at least one required)
-//   --replicas R        replication factor: each graph fingerprint maps
-//                       to R distinct workers (default 2)
-//   --vnodes N          virtual nodes per worker on the hash ring
-//   --attempts N        failover budget: max forward attempts per
-//                       request across replicas (default 3)
-//   --probe-interval-ms MS  active HEALTH probe period, jittered
-//                       +/-25% (default 500; 0 disables probing)
-//   --pool N            idle upstream connections kept per backend
-//   --max-frame B       reject frames larger than B bytes
-//   --breaker-failures N     consecutive failures that open a breaker
-//   --breaker-cooldown-ms MS initial open cooldown (doubles, jittered)
-//   --breaker-cooldown-max-ms MS  cooldown cap
-//   --window S / --window-slots N  windowed per-backend latency shape
-//   --version           print build provenance and exit
-//
 // Clients speak the ordinary MCR1 protocol to the router. SOLVE/LOAD
 // requests shard by graph fingerprint with consistent hashing; LOAD
 // fans out to all R replicas; STATS/HEALTH are answered by the router
@@ -52,16 +24,29 @@
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: mcr_router --socket PATH [--listen [HOST:]PORT]\n"
-    "                  --worker SPEC [--worker SPEC ...]\n"
-    "                  [--replicas R] [--vnodes N] [--attempts N]\n"
-    "                  [--probe-interval-ms MS] [--pool N]\n"
-    "                  [--max-frame BYTES] [--breaker-failures N]\n"
-    "                  [--breaker-cooldown-ms MS]\n"
-    "                  [--breaker-cooldown-max-ms MS]\n"
-    "                  [--window SECONDS] [--window-slots N] [--version]\n"
-    "       SPEC is unix:PATH, HOST:PORT, or PORT\n";
+const std::vector<mcr::cli::Flag> kFlags = {
+    {"socket", "PATH", "Unix-domain listener for clients"},
+    {"listen", "[HOST:]PORT", "TCP listener (PORT 0 = ephemeral, printed; HOST defaults\n"
+                              "to 127.0.0.1)"},
+    {"worker", "SPEC", "one backend: unix:PATH, HOST:PORT or PORT (repeatable; at\n"
+                       "least one required)"},
+    {"replicas", "R", "each graph fingerprint maps to R distinct workers (default 2)"},
+    {"vnodes", "N", "virtual nodes per worker on the hash ring"},
+    {"attempts", "N", "failover budget: max forward attempts per request across\n"
+                      "replicas (default 3)"},
+    {"probe-interval-ms", "MS", "active HEALTH probe period, jittered +/-25% (default 500;\n"
+                                "0 disables probing)"},
+    {"pool", "N", "idle upstream connections kept per backend"},
+    {"max-frame", "BYTES", "reject frames larger than BYTES"},
+    {"breaker-failures", "N", "consecutive failures that open a breaker"},
+    {"breaker-cooldown-ms", "MS", "initial open cooldown (doubles, jittered)"},
+    {"breaker-cooldown-max-ms", "MS", "cooldown cap"},
+    {"window", "SECONDS", "windowed per-backend latency window"},
+    {"window-slots", "N", "ring sub-windows per window"},
+    {"version", "", "print build provenance and exit"},
+};
+constexpr std::string_view kSynopsis =
+    "mcr_router --socket PATH | --listen [HOST:]PORT --worker SPEC... [options]";
 
 int g_signal_pipe[2] = {-1, -1};
 
@@ -74,12 +59,7 @@ void on_signal(int) {
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt =
-        cli::parse(argc, argv,
-                   {"socket", "listen", "worker", "replicas", "vnodes", "attempts",
-                    "probe-interval-ms", "pool", "max-frame", "breaker-failures",
-                    "breaker-cooldown-ms", "breaker-cooldown-max-ms", "window",
-                    "window-slots", "version"});
+    const cli::Options opt = cli::parse(argc, argv, kFlags);
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_router");
       return 0;
@@ -87,8 +67,7 @@ int main(int argc, char** argv) {
     const std::vector<std::string> worker_specs = opt.get_all("worker");
     if (!opt.positional.empty() || worker_specs.empty() ||
         (!opt.has("socket") && !opt.has("listen"))) {
-      std::cerr << kUsage;
-      return 2;
+      throw cli::UsageError("expected --socket or --listen, a --worker and no positional");
     }
 
     svc::RouterOptions ro;
@@ -172,7 +151,7 @@ int main(int argc, char** argv) {
     std::cout << "mcr_router: drained, exiting" << std::endl;
     return 0;
   } catch (const cli::UsageError& e) {
-    std::cerr << "mcr_router: " << e.what() << "\n" << kUsage;
+    std::cerr << "mcr_router: " << e.what() << "\n" << cli::usage(kSynopsis, kFlags);
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_router: " << e.what() << "\n";

@@ -1,52 +1,5 @@
 // mcr_serve — the resident solve service daemon.
 //
-//   mcr_serve --socket /tmp/mcr.sock [--listen [HOST:]PORT] [--threads N]
-//             [--tile-arcs N] [--queue K] [--batch N] [--cache N]
-//             [--graphs N] [--max-frame BYTES] [--preload FILE]...
-//             [--dataset FILE.mcrpack]
-//             [--trace FILE] [--slow-ms MS] [--trace-sample P]
-//             [--flight N] [--flight-pinned N] [--flight-dump PATH]
-//             [--log-json PATH] [--window SECONDS] [--window-slots N]
-//             [--stats-interval SECONDS] [--stats-out PATH]
-//
-//   --socket PATH    Unix-domain listener (the normal deployment)
-//   --listen [HOST:]PORT  additional TCP listener; HOST defaults to
-//                    127.0.0.1 (use 0.0.0.0 to sit behind an mcr_router
-//                    on another host). PORT 0 = ephemeral; the bound
-//                    port is printed
-//   --threads N      worker threads per dispatched solve (0 = hardware)
-//   --tile-arcs N    arc-tile granularity for intra-SCC parallelism in
-//                    dispatched solves (0 = untiled; bit-identical
-//                    results for any value)
-//   --queue K        admission bound: at most K solves admitted and
-//                    unfinished; beyond that SOLVE answers BUSY
-//   --batch N        max requests coalesced into one dispatch batch
-//   --cache N        LRU result-cache entries
-//   --graphs N       LRU resident-graph entries
-//   --max-frame B    reject request frames larger than B bytes
-//   --preload FILE   load a DIMACS file into the registry at startup
-//                    (repeatable via comma-separated list)
-//   --dataset FILE   attach a .mcrpack dataset at startup (mmap'd
-//                    zero-copy; the RELOAD verb or SIGHUP hot-swaps to
-//                    a new generation without dropping requests — see
-//                    docs/STORAGE.md)
-//   --trace FILE     write a Chrome/Perfetto trace on exit
-//   --slow-ms MS     pin request traces at least this slow (0 pins all,
-//                    -1 disables slow-pinning; errors always pin)
-//   --trace-sample P head-sampling probability in [0,1] for full-detail
-//                    solver spans in retained request traces
-//   --flight N       flight-recorder ring capacity (recent traces)
-//   --flight-pinned N  pinned-trace capacity (slow/errored)
-//   --flight-dump PATH post-mortem ring dump on a fatal signal
-//                    ("none" disables; default mcr_flight_dump.json)
-//   --log-json PATH  per-request JSONL access log (default off)
-//   --window S       sliding telemetry window in seconds (default 60)
-//   --window-slots N ring sub-windows per window (default 6)
-//   --stats-interval S  emit one telemetry snapshot line every S seconds
-//   --stats-out PATH    JSONL file for snapshot lines (pump runs only
-//                    when both --stats-interval and --stats-out are set)
-//   --version        print build provenance and exit
-//
 // The flight recorder itself is always on: the TRACE verb serves the
 // recent/pinned request traces of a live daemon as Perfetto-loadable
 // Chrome JSON. See docs/OBSERVABILITY.md.
@@ -72,18 +25,40 @@
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: mcr_serve --socket PATH [--listen [HOST:]PORT] [--threads N]\n"
-    "                 [--tile-arcs N] [--queue K] [--batch N]\n"
-    "                 [--cache N] [--graphs N]\n"
-    "                 [--max-frame BYTES] [--preload FILE[,FILE...]]\n"
-    "                 [--dataset FILE.mcrpack]\n"
-    "                 [--trace FILE] [--slow-ms MS] [--trace-sample P]\n"
-    "                 [--flight N] [--flight-pinned N]\n"
-    "                 [--flight-dump PATH] [--log-json PATH]\n"
-    "                 [--window SECONDS] [--window-slots N]\n"
-    "                 [--stats-interval SECONDS] [--stats-out PATH]\n"
-    "                 [--version]\n";
+const std::vector<mcr::cli::Flag> kFlags = {
+    {"socket", "PATH", "Unix-domain listener (the normal deployment)"},
+    {"listen", "[HOST:]PORT", "additional TCP listener; HOST defaults to 127.0.0.1 (0.0.0.0\n"
+                              "serves an mcr_router on another host); PORT 0 = ephemeral,\n"
+                              "the bound port is printed"},
+    {"threads", "N", "worker threads per dispatched solve (0 = hardware)"},
+    {"tile-arcs", "N", "arc-tile granularity for intra-SCC parallelism in dispatched\n"
+                       "solves (0 = untiled; bit-identical results for any value)"},
+    {"queue", "K", "admission bound: beyond K unfinished solves SOLVE answers BUSY"},
+    {"batch", "N", "max requests coalesced into one dispatch batch"},
+    {"cache", "N", "LRU result-cache entries"},
+    {"graphs", "N", "LRU resident-graph entries"},
+    {"max-frame", "BYTES", "reject request frames larger than BYTES"},
+    {"preload", "FILE[,FILE...]", "load DIMACS files into the registry at startup"},
+    {"dataset", "FILE.mcrpack", "attach a .mcrpack dataset at startup (mmap'd zero-copy;\n"
+                                "RELOAD or SIGHUP hot-swaps it, see docs/STORAGE.md)"},
+    {"trace", "FILE", "write a Chrome/Perfetto trace on exit"},
+    {"slow-ms", "MS", "pin request traces at least this slow (0 pins all, -1 disables\n"
+                      "slow-pinning; errors always pin)"},
+    {"trace-sample", "P", "head-sampling probability in [0,1] for full-detail solver\n"
+                          "spans in retained request traces"},
+    {"flight", "N", "flight-recorder ring capacity (recent traces)"},
+    {"flight-pinned", "N", "pinned-trace capacity (slow/errored)"},
+    {"flight-dump", "PATH", "post-mortem ring dump on a fatal signal (\"none\" disables;\n"
+                            "default mcr_flight_dump.json)"},
+    {"log-json", "PATH", "per-request JSONL access log (default off)"},
+    {"window", "SECONDS", "sliding telemetry window (default 60)"},
+    {"window-slots", "N", "ring sub-windows per window (default 6)"},
+    {"stats-interval", "SECONDS", "emit one telemetry snapshot line every SECONDS"},
+    {"stats-out", "PATH", "JSONL file for snapshot lines (the pump runs only when both\n"
+                          "--stats-interval and --stats-out are set)"},
+    {"version", "", "print build provenance and exit"},
+};
+constexpr std::string_view kSynopsis = "mcr_serve --socket PATH | --listen [HOST:]PORT [options]";
 
 // Self-pipe: the handler only writes one byte; the main thread blocks
 // on the read end and runs the (non-async-signal-safe) drain.
@@ -102,19 +77,13 @@ void on_sighup(int) {
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt =
-        cli::parse(argc, argv,
-                   {"socket", "listen", "threads", "tile-arcs", "queue", "batch", "cache",
-                    "graphs", "max-frame", "preload", "dataset", "trace", "slow-ms",
-                    "trace-sample", "flight", "flight-pinned", "flight-dump", "log-json",
-                    "window", "window-slots", "stats-interval", "stats-out", "version"});
+    const cli::Options opt = cli::parse(argc, argv, kFlags);
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_serve");
       return 0;
     }
     if (!opt.positional.empty() || (!opt.has("socket") && !opt.has("listen"))) {
-      std::cerr << kUsage;
-      return 2;
+      throw cli::UsageError("expected --socket or --listen and no positional argument");
     }
 
     obs::TraceRecorder recorder;
@@ -233,7 +202,7 @@ int main(int argc, char** argv) {
     std::cout << "mcr_serve: drained, exiting" << std::endl;
     return 0;
   } catch (const cli::UsageError& e) {
-    std::cerr << "mcr_serve: " << e.what() << "\n" << kUsage;
+    std::cerr << "mcr_serve: " << e.what() << "\n" << cli::usage(kSynopsis, kFlags);
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_serve: " << e.what() << "\n";

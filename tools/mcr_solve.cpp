@@ -1,36 +1,6 @@
 // mcr_solve — solve an MCM/MCR instance from a DIMACS file.
 //
-//   mcr_solve <file.dimacs> [--algo howard] [--ratio] [--max]
-//             [--verify] [--critical] [--counters] [--all] [--threads N]
-//             [--tile-arcs N] [--trace FILE] [--metrics]
-//             [--metrics-json FILE]
-//
-//   --algo NAME   registry solver (default: howard / howard_ratio)
-//   --ratio       optimize w(C)/t(C) instead of w(C)/|C|
-//   --max         maximize instead of minimize
-//   --threads N   solve SCC subproblems on N worker threads (0 = one
-//                 per hardware thread; default 1 = serial). The result
-//                 is bit-identical for any N.
-//   --tile-arcs N split relaxation sweeps into arc tiles of at most N
-//                 CSR positions so a single giant SCC also spreads over
-//                 the workers (default 0 = untiled; 4096 is a good
-//                 cache-sized value). Bit-identical for any setting.
-//   --verify      certify the result exactly and report
-//   --critical    also print critical-subgraph statistics
-//   --counters    print the solver's operation counters
-//   --all         run every registered solver of the problem kind
-//   --output json machine-readable result on stdout: the same schema
-//                 the solve service emits (exact rational + double,
-//                 witness cycle, algorithm, wall time). --json is an
-//                 accepted alias.
-//   --version     print build provenance and exit
-//   --trace FILE  record a Chrome/Perfetto trace of the solve (phase
-//                 spans + solver iteration events; open in
-//                 ui.perfetto.dev). With --all, one file covers every
-//                 solver's run back to back.
-//   --metrics     print Prometheus-style metrics after the result
-//   --metrics-json FILE   write the metrics as one JSON object
-//   --list        list registered solvers and exit
+// The result is bit-identical for any --threads and --tile-arcs.
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -52,12 +22,29 @@ namespace {
 
 using namespace mcr;
 
-constexpr const char* kUsage =
-    "usage: mcr_solve <file.dimacs> [--algo NAME] [--ratio] [--max]\n"
-    "                 [--verify] [--critical] [--counters] [--all]\n"
-    "                 [--threads N] [--tile-arcs N] [--trace FILE] [--metrics]\n"
-    "                 [--metrics-json FILE] [--output json] [--list]\n"
-    "                 [--version]\n";
+const std::vector<cli::Flag> kFlags = {
+    {"algo", "NAME", "registry solver (default: howard / howard_ratio)"},
+    {"ratio", "", "optimize w(C)/t(C) instead of w(C)/|C|"},
+    {"max", "", "maximize instead of minimize"},
+    {"verify", "", "certify the result exactly and report"},
+    {"critical", "", "also print critical-subgraph statistics"},
+    {"counters", "", "print the solver's operation counters"},
+    {"all", "", "run every registered solver of the problem kind"},
+    {"threads", "N", "solve SCC subproblems on N worker threads\n"
+                     "(0 = one per hardware thread; default 1 = serial)"},
+    {"tile-arcs", "N", "split relaxation sweeps into arc tiles of at most N CSR\n"
+                       "positions so one giant SCC also spreads over the workers\n"
+                       "(default 0 = untiled; 4096 is a good cache-sized value)"},
+    {"trace", "FILE", "record a Chrome/Perfetto trace of the solve (with --all,\n"
+                      "one file covers every solver's run back to back)"},
+    {"metrics", "", "print Prometheus-style metrics after the result"},
+    {"metrics-json", "FILE", "write the metrics as one JSON object"},
+    {"output", "json", "the solve service's result schema on stdout"},
+    {"json", "", "same as --output=json"},
+    {"list", "", "list registered solvers and exit"},
+    {"version", "", "print build provenance and exit"},
+};
+constexpr std::string_view kSynopsis = "mcr_solve <file.dimacs> [options]";
 
 int solve_one(const Graph& g, const std::string& algo, bool ratio, bool max,
               const cli::Options& opt, obs::TraceSink* trace,
@@ -122,11 +109,7 @@ int solve_one(const Graph& g, const std::string& algo, bool ratio, bool max,
 int main(int argc, char** argv) {
   using namespace mcr;
   try {
-    const cli::Options opt =
-        cli::parse(argc, argv,
-                   {"algo", "ratio", "max", "verify", "critical", "counters", "all",
-                    "threads", "tile-arcs", "trace", "metrics", "metrics-json", "output",
-                    "json", "list", "version"});
+    const cli::Options opt = cli::parse(argc, argv, kFlags);
     if (opt.has("version")) {
       std::cout << obs::version_string("mcr_solve");
       return 0;
@@ -140,10 +123,7 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    if (opt.positional.size() != 1) {
-      std::cerr << kUsage;
-      return 2;
-    }
+    if (opt.positional.size() != 1) throw cli::UsageError("expected one <file.dimacs>");
     const Graph g = load_dimacs(opt.positional[0]);
     std::cout << "instance: " << g.num_nodes() << " nodes, " << g.num_arcs()
               << " arcs, weights [" << g.min_weight() << ", " << g.max_weight()
@@ -192,7 +172,7 @@ int main(int argc, char** argv) {
     }
     return rc;
   } catch (const cli::UsageError& e) {
-    std::cerr << "mcr_solve: " << e.what() << "\n" << kUsage;
+    std::cerr << "mcr_solve: " << e.what() << "\n" << cli::usage(kSynopsis, kFlags);
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "mcr_solve: " << e.what() << "\n";
